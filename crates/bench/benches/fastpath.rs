@@ -75,19 +75,17 @@ fn bench_q_forward(c: &mut Criterion) {
     c.bench_function("fastpath/q_forward_into", |b| {
         b.iter(|| net.forward_into(black_box(&x), &mut scratch, &mut out))
     });
-    let xs: Vec<Vec<f64>> = (0..24).map(|i| vec![0.01 * i as f64; 38]).collect();
-    let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+    let xs: Vec<f64> = (0..24).flat_map(|i| [0.01 * i as f64; 38]).collect();
     c.bench_function("fastpath/q_forward_batch24", |b| {
-        b.iter(|| net.forward_batch(black_box(&refs), &mut scratch, &mut out))
+        b.iter(|| net.forward_batch(black_box(&xs), &mut scratch, &mut out))
     });
 
     let mut trainee = net.clone();
     let mut opt = AdaDelta::new(trainee.num_params());
-    let ys: Vec<Vec<f64>> = (0..24).map(|_| vec![0.5; 24]).collect();
-    let yrefs: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+    let ys = vec![0.5; 24 * 24];
     let mut train_scratch = TrainScratch::new();
     c.bench_function("fastpath/q_train_batch24_scratch", |b| {
-        b.iter(|| trainee.train_batch_with(black_box(&refs), &yrefs, &mut opt, &mut train_scratch))
+        b.iter(|| trainee.train_batch_with(black_box(&xs), &ys, &mut opt, &mut train_scratch))
     });
 }
 

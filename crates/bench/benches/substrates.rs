@@ -72,13 +72,11 @@ fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut net = Mlp::new(&[40, 64, 64, 64, 70], &mut rng);
     let mut opt = AdaDelta::new(net.num_params());
-    let xs: Vec<Vec<f64>> = (0..64).map(|i| vec![(i % 7) as f64 / 7.0; 40]).collect();
-    let ys: Vec<Vec<f64>> = (0..64).map(|i| vec![(i % 5) as f64 / 5.0; 70]).collect();
-    let xr: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-    let yr: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+    let xs: Vec<f64> = (0..64).flat_map(|i| [(i % 7) as f64 / 7.0; 40]).collect();
+    let ys: Vec<f64> = (0..64).flat_map(|i| [(i % 5) as f64 / 5.0; 70]).collect();
     let mut scratch = TrainScratch::new();
     c.bench_function("nn/q_network_train_batch64", |b| {
-        b.iter(|| net.train_batch_with(black_box(&xr), black_box(&yr), &mut opt, &mut scratch))
+        b.iter(|| net.train_batch_with(black_box(&xs), black_box(&ys), &mut opt, &mut scratch))
     });
     let x = vec![0.3; 40];
     c.bench_function("nn/q_network_forward", |b| {

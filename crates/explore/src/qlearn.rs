@@ -28,6 +28,19 @@ pub struct Transition {
     pub next_state: Vec<f64>,
 }
 
+/// One training round's minibatch (see [`QAgent::end_trial`]): the
+/// sampled replay indices, their states and next states, the target
+/// network's Q-values at the next states, and the training targets — all
+/// row-major, one row per sample.
+#[derive(Debug, Clone, Default)]
+struct Minibatch {
+    indices: Vec<usize>,
+    states: Vec<f64>,
+    next_states: Vec<f64>,
+    next_q: Vec<f64>,
+    targets: Vec<f64>,
+}
+
 /// The online Q-learning agent.
 #[derive(Debug, Clone)]
 pub struct QAgent {
@@ -41,12 +54,10 @@ pub struct QAgent {
     scratch: MlpScratch,
     /// Output buffer for [`QAgent::choose`]'s Q-value forward pass.
     q_buf: Vec<f64>,
-    /// Bootstrap buffer for the target network's forward pass.
-    boot_buf: Vec<f64>,
     /// Gradient/activation scratch reused across training rounds.
     train_scratch: TrainScratch,
-    /// Reused per-round training targets (one row per minibatch sample).
-    targets: Vec<Vec<f64>>,
+    /// One training round's minibatch buffers, reused across rounds.
+    batch: Minibatch,
     /// Discount factor (the paper's α).
     alpha: f64,
     /// ε-greedy exploration rate (annealed by [`QAgent::set_progress`]).
@@ -74,9 +85,8 @@ impl QAgent {
             replay: VecDeque::new(),
             scratch: MlpScratch::new(),
             q_buf: Vec::new(),
-            boot_buf: Vec::new(),
             train_scratch: TrainScratch::new(),
-            targets: Vec::new(),
+            batch: Minibatch::default(),
             alpha: 0.3,
             epsilon: 0.9,
             train_every: 5,
@@ -158,47 +168,56 @@ impl QAgent {
         self.trials_since_train = 0;
         // Batch: 64 transitions sampled uniformly from the replay buffer —
         // by index, so no transition is cloned per round.
-        let indices: Vec<usize> = if self.replay.len() <= 64 {
-            (0..self.replay.len()).collect()
+        let b = &mut self.batch;
+        b.indices.clear();
+        if self.replay.len() <= 64 {
+            b.indices.extend(0..self.replay.len());
         } else {
-            (0..64)
-                .map(|_| rng.gen_range(0..self.replay.len()))
-                .collect()
-        };
-        if self.targets.len() < indices.len() {
-            self.targets.resize(indices.len(), Vec::new());
+            b.indices
+                .extend((0..64).map(|_| rng.gen_range(0..self.replay.len())));
         }
-        for (row, &i) in indices.iter().enumerate() {
-            // target = α·max_a Y(e)[a] + r, on the taken action; other
-            // actions keep the online net's own predictions (so only the
-            // taken action's error backpropagates meaningfully).
+        b.states.clear();
+        b.next_states.clear();
+        for &i in &b.indices {
             let t = &self.replay[i];
-            self.net
-                .forward_into(&t.state, &mut self.scratch, &mut self.targets[row]);
-            self.target_net
-                .forward_into(&t.next_state, &mut self.scratch, &mut self.boot_buf);
-            let bootstrap = self
-                .boot_buf
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.targets[row][t.action] = self.alpha * bootstrap + t.reward;
+            assert_eq!(
+                (t.state.len(), t.next_state.len()),
+                (self.net.input_dim(), self.net.input_dim()),
+                "input width mismatch"
+            );
+            b.states.extend_from_slice(&t.state);
+            b.next_states.extend_from_slice(&t.next_state);
         }
-        let xs: Vec<&[f64]> = indices
-            .iter()
-            .map(|&i| self.replay[i].state.as_slice())
-            .collect();
-        let ys: Vec<&[f64]> = self.targets[..indices.len()]
-            .iter()
-            .map(Vec::as_slice)
-            .collect();
+        // target = α·max_a Y(e)[a] + r, on the taken action; other actions
+        // keep the online net's own predictions (so only the taken
+        // action's error backpropagates meaningfully).
+        self.net
+            .forward_batch(&b.states, &mut self.scratch, &mut b.targets);
+        self.target_net
+            .forward_batch(&b.next_states, &mut self.scratch, &mut b.next_q);
+        let rows = b.targets.chunks_exact_mut(self.num_actions);
+        for ((row, next_q), &i) in rows
+            .zip(b.next_q.chunks_exact(self.num_actions))
+            .zip(&b.indices)
+        {
+            let t = &self.replay[i];
+            let bootstrap = next_q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            row[t.action] = self.alpha * bootstrap + t.reward;
+        }
         // Several gradient steps per round: the batch is tiny, so a single
-        // AdaDelta step learns almost nothing.
+        // AdaDelta step learns almost nothing. A non-finite loss (a NaN
+        // reward, say) leaves the network untouched and ends the round.
         let mut loss = 0.0;
         for _ in 0..8 {
-            loss = self
-                .net
-                .train_batch_with(&xs, &ys, &mut self.opt, &mut self.train_scratch);
+            loss = self.net.train_batch_with(
+                &b.states,
+                &b.targets,
+                &mut self.opt,
+                &mut self.train_scratch,
+            );
+            if !loss.is_finite() {
+                break;
+            }
         }
         // Copy X -> Y (the paper: "the parameters of X are copied to
         // network Y as a backup").
@@ -270,6 +289,35 @@ mod tests {
         let q = agent.q_values(&s);
         assert!(q[0] > q[1], "Q-values {q:?}");
         assert_eq!(agent.choose(&s, &[true, true], &mut r), Some(0));
+    }
+
+    #[test]
+    fn nan_reward_cannot_poison_the_network() {
+        let mut r = rng(5);
+        let mut agent = QAgent::new(2, 2, &mut r);
+        let s = vec![0.5, 0.5];
+        let step = |action, reward| Transition {
+            state: s.clone(),
+            action,
+            reward,
+            next_state: vec![0.6, 0.5],
+        };
+        agent.record(step(0, 1.0));
+        agent.trials_since_train = agent.train_every; // force training
+        assert!(agent.end_trial(&mut r).is_some_and(f64::is_finite));
+        let before = (
+            agent.net.clone(),
+            agent.target_net.clone(),
+            agent.opt.clone(),
+        );
+        // A NaN energy clamps to a NaN reward; the round must not train.
+        agent.record(step(1, f64::NAN));
+        agent.trials_since_train = agent.train_every;
+        assert!(agent.end_trial(&mut r).is_some_and(f64::is_nan));
+        assert_eq!(agent.net, before.0);
+        assert_eq!(agent.target_net, before.1);
+        assert_eq!(agent.opt, before.2);
+        assert!(agent.q_values(&s).iter().all(|q| q.is_finite()));
     }
 
     #[test]

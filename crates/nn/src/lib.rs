@@ -10,6 +10,12 @@
 //! autograd — because the Q-network is tiny (four layers over a few dozen
 //! features) and exploration calls it millions of times.
 //!
+//! Batches are row-major matrices: `xs` holds one input row of
+//! [`Mlp::input_dim`] values per sample, back to back. Inference and
+//! training run one batch-major layer kernel (a single input is a batch
+//! of one) whose results are bit-identical to running every sample on its
+//! own; see [`Mlp::train_batch_with`] for the per-element order it keeps.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,7 +30,8 @@
 //! let x = vec![0.5; 8];
 //! let y = vec![1.0, 0.0, 0.0, 0.0];
 //! for _ in 0..200 {
-//!     net.train_batch_with(&[&x], &[&y], &mut opt, &mut scratch);
+//!     // A batch of one: one input row, one target row.
+//!     net.train_batch_with(&x, &y, &mut opt, &mut scratch);
 //! }
 //! let out = net.forward(&x);
 //! assert!((out[0] - 1.0).abs() < 0.5);
@@ -36,6 +43,13 @@
 pub mod network;
 
 use rand::Rng;
+
+/// Rows per register block in the batch kernels: samples in the forward
+/// and delta-propagation kernels, gradient rows in the weight-gradient
+/// kernel. Two rows of eight-lane accumulators take eight of the sixteen
+/// SSE2 registers of baseline x86-64, leaving room for the operands, and
+/// each load of the shared operand serves both rows.
+const ROW_BLOCK: usize = 2;
 
 /// One fully-connected layer: `y = W·x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,22 +76,162 @@ impl Linear {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for o in 0..self.outputs {
-            let row = &self.w[o * self.inputs..(o + 1) * self.inputs];
-            out.push(self.b[o] + dot(row, x));
-        }
-    }
-
     fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
+
+    /// Batch forward: row `s` of `out` is `b + W·xs[s]` (ReLU'd when
+    /// `relu`), each output the [`dot_spec`]-ordered dot with the bias
+    /// added last — the same operations as one sample at a time.
+    fn forward(&self, xs: &[f64], relu: bool, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(xs.len() / self.inputs * self.outputs, 0.0);
+        let mut x_blocks = xs.chunks_exact(ROW_BLOCK * self.inputs);
+        let mut out_blocks = out.chunks_exact_mut(ROW_BLOCK * self.outputs);
+        for (x, o) in (&mut x_blocks).zip(&mut out_blocks) {
+            self.forward_block::<ROW_BLOCK>(x, relu, o);
+        }
+        let (x_rest, out_rest) = (x_blocks.remainder(), out_blocks.into_remainder());
+        for (x, o) in x_rest
+            .chunks_exact(self.inputs)
+            .zip(out_rest.chunks_exact_mut(self.outputs))
+        {
+            self.forward_block::<1>(x, relu, o);
+        }
+    }
+
+    /// [`Linear::forward`] over exactly `K` rows: one load of a weight
+    /// row serves all `K` dots.
+    fn forward_block<const K: usize>(&self, xs: &[f64], relu: bool, out: &mut [f64]) {
+        let x: [&[f64]; K] = std::array::from_fn(|k| &xs[k * self.inputs..(k + 1) * self.inputs]);
+        for (o, (row, b)) in self.w.chunks_exact(self.inputs).zip(&self.b).enumerate() {
+            for (k, d) in dot_rows(row, x).into_iter().enumerate() {
+                let v = b + d;
+                out[k * self.outputs + o] = if relu { v.max(0.0) } else { v };
+            }
+        }
+    }
+
+    /// Parameter gradients of one batch: `gw[o][i] = Σ_s delta[s][o] ·
+    /// input[s][i]` and `gb[o] = Σ_s delta[s][o]`, each sum starting from
+    /// `0.0` and adding the samples in index order — the order in which
+    /// one-sample-at-a-time backprop accumulates them.
+    fn gradients(&self, input: &[f64], delta: &[f64], gw: &mut [f64], gb: &mut [f64]) {
+        gb.fill(0.0);
+        for d in delta.chunks_exact(self.outputs) {
+            for (g, v) in gb.iter_mut().zip(d) {
+                *g += v;
+            }
+        }
+        let mut o = 0;
+        while o + ROW_BLOCK <= self.outputs {
+            self.gradient_rows::<ROW_BLOCK>(input, delta, o, gw);
+            o += ROW_BLOCK;
+        }
+        if o < self.outputs {
+            self.gradient_rows::<1>(input, delta, o, gw);
+        }
+    }
+
+    /// Gradient rows `o0..o0 + K`, one [`DOT_LANES`]-wide column chunk at
+    /// a time held in registers while the samples sweep past.
+    fn gradient_rows<const K: usize>(
+        &self,
+        input: &[f64],
+        delta: &[f64],
+        o0: usize,
+        gw: &mut [f64],
+    ) {
+        let (n_in, n_out) = (self.inputs, self.outputs);
+        let split = n_in - n_in % DOT_LANES;
+        let rows = input.len() / n_in;
+        for i in (0..split).step_by(DOT_LANES) {
+            let mut acc = [[0.0f64; DOT_LANES]; K];
+            for s in 0..rows {
+                let a = &input[s * n_in + i..][..DOT_LANES];
+                for (k, row) in acc.iter_mut().enumerate() {
+                    axpy_lanes(delta[s * n_out + o0 + k], a, row);
+                }
+            }
+            for (k, row) in acc.iter().enumerate() {
+                gw[(o0 + k) * n_in + i..][..DOT_LANES].copy_from_slice(row);
+            }
+        }
+        for i in split..n_in {
+            let mut acc = [0.0f64; K];
+            for s in 0..rows {
+                for (k, g) in acc.iter_mut().enumerate() {
+                    *g += delta[s * n_out + o0 + k] * input[s * n_in + i];
+                }
+            }
+            for (k, g) in acc.into_iter().enumerate() {
+                gw[(o0 + k) * n_in + i] = g;
+            }
+        }
+    }
+
+    /// Propagates a batch of output deltas to this layer's input:
+    /// `prev[s][i] = Σ_o delta[s][o] · W[o][i]` (from `0.0`, outputs in
+    /// order), zeroed where the ReLU'd input `input[s][i] <= 0`.
+    fn backprop(&self, delta: &[f64], input: &[f64], prev: &mut Vec<f64>) {
+        prev.clear();
+        prev.resize(input.len(), 0.0);
+        let (n_in, n_out) = (self.inputs, self.outputs);
+        let mut d_blocks = delta.chunks_exact(ROW_BLOCK * n_out);
+        let mut a_blocks = input.chunks_exact(ROW_BLOCK * n_in);
+        let mut p_blocks = prev.chunks_exact_mut(ROW_BLOCK * n_in);
+        for ((d, a), p) in (&mut d_blocks).zip(&mut a_blocks).zip(&mut p_blocks) {
+            self.backprop_block::<ROW_BLOCK>(d, a, p);
+        }
+        let (d_rest, a_rest) = (d_blocks.remainder(), a_blocks.remainder());
+        for ((d, a), p) in d_rest
+            .chunks_exact(n_out)
+            .zip(a_rest.chunks_exact(n_in))
+            .zip(p_blocks.into_remainder().chunks_exact_mut(n_in))
+        {
+            self.backprop_block::<1>(d, a, p);
+        }
+    }
+
+    /// [`Linear::backprop`] over exactly `K` samples, one
+    /// [`DOT_LANES`]-wide input chunk per sample held in registers while
+    /// the weight rows sweep past.
+    fn backprop_block<const K: usize>(&self, delta: &[f64], input: &[f64], prev: &mut [f64]) {
+        let (n_in, n_out) = (self.inputs, self.outputs);
+        let split = n_in - n_in % DOT_LANES;
+        let mask = |p: f64, a: f64| if a <= 0.0 { 0.0 } else { p };
+        for i in (0..split).step_by(DOT_LANES) {
+            let mut acc = [[0.0f64; DOT_LANES]; K];
+            for o in 0..n_out {
+                let w = &self.w[o * n_in + i..][..DOT_LANES];
+                for (k, row) in acc.iter_mut().enumerate() {
+                    axpy_lanes(delta[k * n_out + o], w, row);
+                }
+            }
+            for (k, row) in acc.iter().enumerate() {
+                let at = k * n_in + i;
+                for j in 0..DOT_LANES {
+                    prev[at + j] = mask(row[j], input[at + j]);
+                }
+            }
+        }
+        for i in split..n_in {
+            let mut acc = [0.0f64; K];
+            for o in 0..n_out {
+                for (k, p) in acc.iter_mut().enumerate() {
+                    *p += delta[k * n_out + o] * self.w[o * n_in + i];
+                }
+            }
+            for (k, p) in acc.into_iter().enumerate() {
+                prev[k * n_in + i] = mask(p, input[k * n_in + i]);
+            }
+        }
+    }
 }
 
-/// Fixed chunk width of the dense kernels ([`dot`] / [`axpy`]): eight
-/// independent f64 lanes, matching one AVX-512 register or two AVX2
-/// registers' worth of accumulators.
+/// Fixed chunk width of the dense kernels ([`dot`] and the batch
+/// kernels): eight independent f64 lanes, matching one AVX-512 register
+/// or two AVX2 registers' worth of accumulators.
 pub const DOT_LANES: usize = 8;
 
 /// Specified accumulation order of [`dot`] — the scalar reference the
@@ -124,52 +278,55 @@ pub fn dot_spec(w: &[f64], x: &[f64]) -> f64 {
 /// serial fold or to the previous four-lane kernel (floating-point
 /// addition is non-associative), which is why the committed trace
 /// fixtures and probe CSVs were regenerated when this landed.
-pub fn dot(w: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(w.len(), x.len());
-    let split = w.len() - w.len() % DOT_LANES;
-    let (w8, wt) = w.split_at(split);
-    let (x8, xt) = x.split_at(split);
-    let mut lanes = [0.0f64; DOT_LANES];
-    for (wc, xc) in w8.chunks_exact(DOT_LANES).zip(x8.chunks_exact(DOT_LANES)) {
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane += wc[j] * xc[j];
-        }
-    }
-    let mut acc = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    for (wi, xi) in wt.iter().zip(xt) {
-        acc += wi * xi;
-    }
-    acc
-}
-
-/// Chunked in-place scaled add: `y[i] += a * x[i]` for every `i`, swept in
-/// [`DOT_LANES`]-wide chunks with an explicit ragged tail.
-///
-/// Each element updates independently — there is no cross-element
-/// accumulation — so the chunking is pure loop shaping and the result is
-/// exactly the naive element-wise loop at any length. Used by the backprop
-/// inner loops (gradient-row updates and delta propagation).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy over mismatched lengths");
-    let split = x.len() - x.len() % DOT_LANES;
-    let (x8, xt) = x.split_at(split);
-    let (y8, yt) = y.split_at_mut(split);
-    for (yc, xc) in y8
-        .chunks_exact_mut(DOT_LANES)
-        .zip(x8.chunks_exact(DOT_LANES))
-    {
-        for (j, yj) in yc.iter_mut().enumerate() {
-            *yj += a * xc[j];
+pub fn dot(w: &[f64], x: &[f64]) -> f64 {
+    let [d] = dot_rows(w, [x]);
+    d
+}
+
+/// `K` dots of one weight row `w` against `K` input rows, each in exactly
+/// the [`dot_spec`] order; every chunk of `w` is loaded once for all `K`.
+fn dot_rows<const K: usize>(w: &[f64], xs: [&[f64]; K]) -> [f64; K] {
+    for x in xs {
+        assert_eq!(w.len(), x.len(), "dot over mismatched lengths");
+    }
+    let split = w.len() - w.len() % DOT_LANES;
+    let mut lanes = [[0.0f64; DOT_LANES]; K];
+    for i in (0..split).step_by(DOT_LANES) {
+        let wc = &w[i..][..DOT_LANES];
+        for (lane, x) in lanes.iter_mut().zip(xs) {
+            let xc = &x[i..][..DOT_LANES];
+            for j in 0..DOT_LANES {
+                lane[j] += wc[j] * xc[j];
+            }
         }
     }
-    for (yi, xi) in yt.iter_mut().zip(xt) {
-        *yi += a * xi;
+    let mut acc = combine_lanes(&lanes);
+    for (a, x) in acc.iter_mut().zip(xs) {
+        for (wi, xi) in w[split..].iter().zip(&x[split..]) {
+            *a += wi * xi;
+        }
     }
+    acc
+}
+
+/// `acc[j] += a * x[j]` over one [`DOT_LANES`]-wide chunk.
+fn axpy_lanes(a: f64, x: &[f64], acc: &mut [f64; DOT_LANES]) {
+    for j in 0..DOT_LANES {
+        acc[j] += a * x[j];
+    }
+}
+
+/// The [`dot_spec`] pairwise combine of each row's lanes. Kept out of
+/// line on purpose: inlined, it invites the vectorizer to pair lane `j`
+/// of two rows (a shuffle per product in the chunk loop) instead of
+/// neighbouring lanes of one row (plain contiguous loads).
+#[inline(never)]
+fn combine_lanes<const K: usize>(lanes: &[[f64; DOT_LANES]; K]) -> [f64; K] {
+    lanes.map(|l| ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
 }
 
 /// Reusable ping-pong activation buffers for allocation-free inference
@@ -187,19 +344,19 @@ pub struct MlpScratch {
 }
 
 impl MlpScratch {
-    /// Fresh (empty) scratch; buffers grow to the widest layer on first
-    /// use and are reused afterwards.
+    /// Fresh (empty) scratch; buffers grow to the widest batch × layer on
+    /// first use and are reused afterwards.
     pub fn new() -> MlpScratch {
         MlpScratch::default()
     }
 }
 
-/// Reusable buffers for [`Mlp::train_batch_with`]: the gradient
-/// accumulator, per-layer activations, and the two backprop delta
-/// buffers. Reusing them across training rounds removes every per-round
-/// heap allocation; all buffers are fully overwritten (or explicitly
-/// zeroed) before use, so training is bit-identical to
-/// [`Mlp::train_batch`].
+/// Reusable buffers for [`Mlp::train_batch_with`]: one layer's
+/// gradient, each hidden layer's batch × width output activations, and
+/// the two batch × width backprop delta matrices. Reusing them across
+/// training rounds removes every per-round heap allocation; every buffer
+/// is fully overwritten before it is read, so results never depend on
+/// what a previous call left behind.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     grads: Vec<f64>,
@@ -254,36 +411,22 @@ impl Mlp {
         self.layers.iter().map(Linear::num_params).sum()
     }
 
+    /// Each layer's parameters, input layer first, as `(w, b)`: `w` is
+    /// row-major `b.len() × inputs`. The optimizer indexes parameters in
+    /// this order, each layer's `w` before its `b`.
+    pub fn layer_params(&self) -> impl Iterator<Item = (&[f64], &[f64])> {
+        self.layers.iter().map(|l| (l.w.as_slice(), l.b.as_slice()))
+    }
+
     /// Runs the network on one input.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from [`Mlp::input_dim`].
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = MlpScratch::new();
         let mut out = Vec::new();
-        self.forward_into(x, &mut scratch, &mut out);
+        self.forward_into(x, &mut MlpScratch::new(), &mut out);
         out
-    }
-
-    /// Runs the layer stack on `x` inside `scratch`, leaving the output in
-    /// `scratch.a` and returning it. The shared core of every inference
-    /// entry point — one implementation, bit-identical results.
-    fn run_layers<'s>(&self, x: &[f64], scratch: &'s mut MlpScratch) -> &'s [f64] {
-        assert_eq!(x.len(), self.input_dim(), "input width mismatch");
-        let MlpScratch { a, b } = scratch;
-        a.clear();
-        a.extend_from_slice(x);
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward(a, b);
-            if i + 1 < self.layers.len() {
-                for v in b.iter_mut() {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            std::mem::swap(a, b);
-        }
-        a
     }
 
     /// Runs the network on one input into a caller-provided buffer using
@@ -294,56 +437,46 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from [`Mlp::input_dim`].
     pub fn forward_into(&self, x: &[f64], scratch: &mut MlpScratch, out: &mut Vec<f64>) {
-        let result = self.run_layers(x, scratch);
-        out.clear();
-        out.extend_from_slice(result);
+        assert_eq!(x.len(), self.input_dim(), "input width mismatch");
+        self.forward_batch(x, scratch, out);
     }
 
-    /// Runs the network on a batch of inputs, concatenating the outputs
-    /// into `out` (`xs.len() × output_dim`, row-major). One call scores
-    /// e.g. every candidate direction of a schedule point with a single
-    /// warm scratch and output buffer.
+    /// Runs the network on a batch of row-major inputs (`rows ×
+    /// input_dim`), leaving the `rows × output_dim` outputs in `out`. Each
+    /// output row is bit-identical to [`Mlp::forward`] on its input row.
     ///
     /// # Panics
     ///
-    /// Panics if any input's width differs from [`Mlp::input_dim`].
-    pub fn forward_batch(&self, xs: &[&[f64]], scratch: &mut MlpScratch, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(xs.len() * self.output_dim());
-        for x in xs {
-            let result = self.run_layers(x, scratch);
-            out.extend_from_slice(result);
+    /// Panics if `xs.len()` is not a multiple of [`Mlp::input_dim`].
+    pub fn forward_batch(&self, xs: &[f64], scratch: &mut MlpScratch, out: &mut Vec<f64>) {
+        assert_eq!(xs.len() % self.input_dim(), 0, "input width mismatch");
+        let MlpScratch { a, b } = scratch;
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let input = if li == 0 { xs } else { a.as_slice() };
+            if li == last {
+                layer.forward(input, false, out);
+            } else {
+                layer.forward(input, true, b);
+                std::mem::swap(a, b);
+            }
         }
     }
 
-    /// One optimization step on a batch under MSE loss; returns the batch
-    /// loss before the update. Convenience wrapper over
-    /// [`Mlp::train_batch_with`] with throwaway scratch.
+    /// One AdaDelta step on a batch under MSE loss (mean over outputs and
+    /// samples) using reusable scratch buffers; returns the batch loss
+    /// before the update. `xs` holds `rows × input_dim` inputs and `ys`
+    /// the matching `rows × output_dim` targets, both row-major.
     ///
-    /// Deprecated for hot paths: this allocates a fresh [`TrainScratch`]
-    /// (and two slice-reference vectors) on every call. Loops that train
-    /// repeatedly — the Q-learning replay loop, benchmarks — must hold a
-    /// [`TrainScratch`] and call [`Mlp::train_batch_with`] directly; this
-    /// wrapper stays for one-off use and tests.
+    /// The batch runs layer by layer over all rows at once, yet every
+    /// value gets the IEEE operations that one-sample-at-a-time backprop
+    /// gives it, in the same order: each output is a [`dot_spec`]-ordered
+    /// dot plus bias, each gradient element sums its per-sample
+    /// contributions in sample order, each propagated delta sums over
+    /// outputs in order, and the loss adds rows then outputs in order.
     ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty, shapes mismatch, or `opt` was created
-    /// for a different parameter count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; hot loops should hold a TrainScratch and use train_batch_with"
-    )]
-    pub fn train_batch(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], opt: &mut AdaDelta) -> f64 {
-        let xr: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        let yr: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
-        self.train_batch_with(&xr, &yr, opt, &mut TrainScratch::new())
-    }
-
-    /// One optimization step on a batch under MSE loss using reusable
-    /// scratch buffers (no per-round heap allocation once warm); returns
-    /// the batch loss before the update. Bit-identical to
-    /// [`Mlp::train_batch`].
+    /// A non-finite loss (a NaN or infinite target, say) is returned
+    /// without touching the parameters or the optimizer state.
     ///
     /// # Panics
     ///
@@ -351,12 +484,15 @@ impl Mlp {
     /// for a different parameter count.
     pub fn train_batch_with(
         &mut self,
-        xs: &[&[f64]],
-        ys: &[&[f64]],
+        xs: &[f64],
+        ys: &[f64],
         opt: &mut AdaDelta,
         scratch: &mut TrainScratch,
     ) -> f64 {
-        assert!(!xs.is_empty() && xs.len() == ys.len(), "bad batch");
+        assert_eq!(xs.len() % self.input_dim(), 0, "input width mismatch");
+        let rows = xs.len() / self.input_dim();
+        assert!(rows > 0, "bad batch");
+        assert_eq!(ys.len(), rows * self.output_dim(), "target width mismatch");
         assert_eq!(opt.len(), self.num_params(), "optimizer size mismatch");
         let TrainScratch {
             grads,
@@ -364,70 +500,46 @@ impl Mlp {
             delta,
             prev,
         } = scratch;
-        grads.clear();
-        grads.resize(self.num_params(), 0.0);
-        if acts.len() != self.layers.len() + 1 {
-            acts.resize(self.layers.len() + 1, Vec::new());
+        // Forward pass, keeping each hidden layer's output for backprop;
+        // the output layer writes straight into `delta`.
+        acts.resize_with(self.layers.len() - 1, Vec::new);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(li);
+            let input = done.last().map_or(xs, Vec::as_slice);
+            match rest.first_mut() {
+                Some(out) => layer.forward(input, true, out),
+                None => layer.forward(input, false, delta),
+            }
         }
+        // MSE loss (mean over outputs and batch); dL/dout replaces each
+        // output in place.
+        let scale = 1.0 / ys.len() as f64;
         let mut loss = 0.0;
-        for (x, y) in xs.iter().zip(ys) {
-            assert_eq!(y.len(), self.output_dim(), "target width mismatch");
-            // Forward pass retaining activations per layer (for backprop).
-            assert_eq!(x.len(), self.input_dim(), "input width mismatch");
-            acts[0].clear();
-            acts[0].extend_from_slice(x);
-            for (i, layer) in self.layers.iter().enumerate() {
-                let (head, tail) = acts.split_at_mut(i + 1);
-                layer.forward(&head[i], &mut tail[0]);
-                if i + 1 < self.layers.len() {
-                    for v in tail[0].iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
-            // dL/dout for MSE (mean over outputs and batch).
-            let out = acts.last().expect("at least the input activation");
-            let scale = 1.0 / (xs.len() * y.len()) as f64;
-            delta.clear();
-            for (o, t) in out.iter().zip(*y) {
-                loss += (o - t) * (o - t) * scale;
-                delta.push(2.0 * (o - t) * scale);
-            }
-            // Backprop through layers.
-            let mut offset = self.num_params();
-            for (li, layer) in self.layers.iter().enumerate().rev() {
-                offset -= layer.num_params();
-                let input = &acts[li];
-                let (gw, gb) =
-                    grads[offset..offset + layer.num_params()].split_at_mut(layer.w.len());
-                for o in 0..layer.outputs {
-                    gb[o] += delta[o];
-                    let row = &mut gw[o * layer.inputs..(o + 1) * layer.inputs];
-                    axpy(delta[o], input, row);
-                }
-                if li > 0 {
-                    // Propagate delta through W and the ReLU derivative at
-                    // the previous activation.
-                    prev.clear();
-                    prev.resize(layer.inputs, 0.0);
-                    for (d, row) in delta.iter().zip(layer.w.chunks(layer.inputs)) {
-                        axpy(*d, row, prev);
-                    }
-                    for (p, a) in prev.iter_mut().zip(&acts[li]) {
-                        if *a <= 0.0 {
-                            *p = 0.0;
-                        }
-                    }
-                    std::mem::swap(delta, prev);
-                }
-            }
+        for (d, t) in delta.iter_mut().zip(ys) {
+            let o = *d;
+            loss += (o - t) * (o - t) * scale;
+            *d = 2.0 * (o - t) * scale;
         }
-        // Apply AdaDelta updates.
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for w in layer.w.iter_mut().chain(layer.b.iter_mut()) {
-                *w += opt.step(offset, grads[offset]);
-                offset += 1;
+        if !loss.is_finite() {
+            return loss;
+        }
+        // Backprop, last layer first. A layer propagates the delta through
+        // its weights before AdaDelta updates them.
+        let widest = self.layers.iter().map(Linear::num_params).max();
+        grads.resize(widest.unwrap_or(0), 0.0);
+        let mut offset = self.num_params();
+        for (li, layer) in self.layers.iter_mut().enumerate().rev() {
+            offset -= layer.num_params();
+            let input = if li == 0 { xs } else { acts[li - 1].as_slice() };
+            if li > 0 {
+                layer.backprop(delta, input, prev);
+            }
+            let (gw, gb) = grads[..layer.num_params()].split_at_mut(layer.w.len());
+            layer.gradients(input, delta, gw, gb);
+            opt.apply(offset, &mut layer.w, gw);
+            opt.apply(offset + gw.len(), &mut layer.b, gb);
+            if li > 0 {
+                std::mem::swap(delta, prev);
             }
         }
         loss
@@ -484,19 +596,39 @@ impl AdaDelta {
     /// Computes the update for parameter `i` given its gradient, updating
     /// internal state. Returns the delta to *add* to the parameter.
     pub fn step(&mut self, i: usize, grad: f64) -> f64 {
-        let g2 = &mut self.acc_grad[i];
-        *g2 = self.rho * *g2 + (1.0 - self.rho) * grad * grad;
-        let update = -((self.acc_update[i] + self.eps).sqrt() / (*g2 + self.eps).sqrt()) * grad;
-        let u2 = &mut self.acc_update[i];
-        *u2 = self.rho * *u2 + (1.0 - self.rho) * update * update;
-        update
+        adadelta(
+            self.rho,
+            self.eps,
+            &mut self.acc_grad[i],
+            &mut self.acc_update[i],
+            grad,
+        )
+    }
+
+    /// [`AdaDelta::step`] for parameters `offset..offset + params.len()`
+    /// in one sweep, adding each update to its parameter.
+    fn apply(&mut self, offset: usize, params: &mut [f64], grads: &[f64]) {
+        let range = offset..offset + params.len();
+        let state = self.acc_grad[range.clone()]
+            .iter_mut()
+            .zip(&mut self.acc_update[range]);
+        for ((p, &g), (g2, u2)) in params.iter_mut().zip(grads).zip(state) {
+            *p += adadelta(self.rho, self.eps, g2, u2, g);
+        }
     }
 }
 
+/// One AdaDelta update of a parameter with gradient `grad`, given its
+/// running averages of squared gradients `g2` and squared updates `u2`.
+#[inline(always)]
+fn adadelta(rho: f64, eps: f64, g2: &mut f64, u2: &mut f64, grad: f64) -> f64 {
+    *g2 = rho * *g2 + (1.0 - rho) * grad * grad;
+    let update = -((*u2 + eps).sqrt() / (*g2 + eps).sqrt()) * grad;
+    *u2 = rho * *u2 + (1.0 - rho) * update * update;
+    update
+}
+
 #[cfg(test)]
-// The tests deliberately exercise the deprecated convenience wrapper —
-// it must stay bit-identical to `train_batch_with`.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -513,6 +645,8 @@ mod tests {
         assert_eq!(net.output_dim(), 3);
         assert_eq!(net.num_params(), 10 * 20 + 20 + 20 * 20 + 20 + 20 * 3 + 3);
         assert_eq!(net.forward(&[0.1; 10]).len(), 3);
+        let per_layer: usize = net.layer_params().map(|(w, b)| w.len() + b.len()).sum();
+        assert_eq!(per_layer, net.num_params());
     }
 
     #[test]
@@ -528,20 +662,21 @@ mod tests {
     fn loss_decreases_when_fitting_a_linear_map() {
         let mut net = Mlp::new(&[3, 16, 16, 1], &mut rng(1));
         let mut opt = AdaDelta::new(net.num_params());
-        let xs: Vec<Vec<f64>> = (0..32)
-            .map(|i| {
+        let mut scratch = TrainScratch::new();
+        let xs: Vec<f64> = (0..32)
+            .flat_map(|i| {
                 let t = i as f64 / 32.0;
-                vec![t, 1.0 - t, t * t]
+                [t, 1.0 - t, t * t]
             })
             .collect();
-        let ys: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| vec![2.0 * x[0] - x[1] + 0.5 * x[2]])
+        let ys: Vec<f64> = xs
+            .chunks_exact(3)
+            .map(|x| 2.0 * x[0] - x[1] + 0.5 * x[2])
             .collect();
-        let first = net.train_batch(&xs, &ys, &mut opt);
+        let first = net.train_batch_with(&xs, &ys, &mut opt, &mut scratch);
         let mut last = first;
         for _ in 0..500 {
-            last = net.train_batch(&xs, &ys, &mut opt);
+            last = net.train_batch_with(&xs, &ys, &mut opt, &mut scratch);
         }
         assert!(
             last < first * 0.1,
@@ -553,19 +688,15 @@ mod tests {
     fn fits_xor_like_nonlinearity() {
         let mut net = Mlp::new(&[2, 16, 16, 1], &mut rng(3));
         let mut opt = AdaDelta::new(net.num_params());
-        let xs = vec![
-            vec![0.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 0.0],
-            vec![1.0, 1.0],
-        ];
-        let ys = vec![vec![0.0], vec![1.0], vec![1.0], vec![0.0]];
+        let mut scratch = TrainScratch::new();
+        let xs = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
+        let ys = [0.0, 1.0, 1.0, 0.0];
         for _ in 0..3000 {
-            net.train_batch(&xs, &ys, &mut opt);
+            net.train_batch_with(&xs, &ys, &mut opt, &mut scratch);
         }
-        for (x, y) in xs.iter().zip(&ys) {
+        for (x, y) in xs.chunks_exact(2).zip(ys) {
             let p = net.forward(x)[0];
-            assert!((p - y[0]).abs() < 0.3, "xor({x:?}) = {p}, want {}", y[0]);
+            assert!((p - y).abs() < 0.3, "xor({x:?}) = {p}, want {y}");
         }
     }
 
@@ -586,42 +717,30 @@ mod tests {
     fn forward_batch_concatenates_individual_outputs() {
         let net = Mlp::new(&[5, 16, 3], &mut rng(13));
         let mut r = rng(14);
-        let xs: Vec<Vec<f64>> = (0..7)
-            .map(|_| (0..5).map(|_| r.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        // An odd row count leaves a remainder after the sample blocks.
+        let xs: Vec<f64> = (0..7 * 5).map(|_| r.gen_range(-1.0..1.0)).collect();
         let mut scratch = MlpScratch::new();
         let mut out = Vec::new();
-        net.forward_batch(&refs, &mut scratch, &mut out);
-        assert_eq!(out.len(), xs.len() * net.output_dim());
-        for (i, x) in xs.iter().enumerate() {
-            let row = &out[i * net.output_dim()..(i + 1) * net.output_dim()];
+        net.forward_batch(&xs, &mut scratch, &mut out);
+        assert_eq!(out.len(), 7 * net.output_dim());
+        for (x, row) in xs.chunks_exact(5).zip(out.chunks_exact(net.output_dim())) {
             assert_eq!(row, net.forward(x).as_slice());
         }
     }
 
     #[test]
-    fn train_batch_with_is_bit_identical_to_train_batch() {
-        let mut a = Mlp::new(&[3, 12, 12, 2], &mut rng(15));
-        let mut b = a.clone();
-        let mut opt_a = AdaDelta::new(a.num_params());
-        let mut opt_b = AdaDelta::new(b.num_params());
+    fn non_finite_loss_leaves_network_and_optimizer_untouched() {
+        let mut net = Mlp::new(&[3, 8, 2], &mut rng(17));
+        let mut opt = AdaDelta::new(net.num_params());
         let mut scratch = TrainScratch::new();
-        let mut r = rng(16);
-        for _ in 0..20 {
-            let xs: Vec<Vec<f64>> = (0..4)
-                .map(|_| (0..3).map(|_| r.gen_range(-1.0..1.0)).collect())
-                .collect();
-            let ys: Vec<Vec<f64>> = (0..4)
-                .map(|_| (0..2).map(|_| r.gen_range(-1.0..1.0)).collect())
-                .collect();
-            let loss_a = a.train_batch(&xs, &ys, &mut opt_a);
-            let xr: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-            let yr: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
-            let loss_b = b.train_batch_with(&xr, &yr, &mut opt_b, &mut scratch);
-            assert_eq!(loss_a, loss_b); // exact: identical op order
-            assert_eq!(a, b);
-            assert_eq!(opt_a, opt_b);
+        let xs = [0.1, 0.2, 0.3, -0.4, 0.5, 0.6];
+        net.train_batch_with(&xs, &[0.5, -0.5, 1.0, 0.0], &mut opt, &mut scratch);
+        let (net_before, opt_before) = (net.clone(), opt.clone());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let loss = net.train_batch_with(&xs, &[0.5, bad, 1.0, 0.0], &mut opt, &mut scratch);
+            assert!(!loss.is_finite());
+            assert_eq!(net, net_before);
+            assert_eq!(opt, opt_before);
         }
     }
 
@@ -651,10 +770,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn forward_batch_checks_width() {
+        let net = Mlp::new(&[4, 8, 2], &mut rng(0));
+        net.forward_batch(&[0.0; 6], &mut MlpScratch::new(), &mut Vec::new());
+    }
+
+    #[test]
     #[should_panic(expected = "optimizer size mismatch")]
     fn train_checks_optimizer() {
         let mut net = Mlp::new(&[2, 4, 1], &mut rng(0));
         let mut opt = AdaDelta::new(3);
-        net.train_batch(&[vec![0.0, 0.0]], &[vec![0.0]], &mut opt);
+        net.train_batch_with(&[0.0, 0.0], &[0.0], &mut opt, &mut TrainScratch::new());
     }
 }

@@ -1,16 +1,10 @@
-//! Property tests for the chunked dense kernels: the optimized 8-lane
+//! Property tests for the chunked dot kernel: the optimized 8-lane
 //! [`dot`] must match the scalar specification [`dot_spec`] **bit-for-bit**
 //! at every length — full chunks, ragged tails (`len % 8 != 0`), short
-//! inputs (`len < 8`), and the empty product — and the chunked [`axpy`]
-//! must equal the naive element-wise loop exactly (no cross-element
-//! accumulation, so chunking is pure loop shaping).
+//! inputs (`len < 8`), and the empty product.
 
-use flextensor_nn::{axpy, dot, dot_spec, DOT_LANES};
+use flextensor_nn::{dot, dot_spec, DOT_LANES};
 use proptest::prelude::*;
-
-fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-1e6f64..1e6, len)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -32,26 +26,6 @@ proptest! {
         let w: Vec<f64> = (0..len).map(|_| next()).collect();
         let x: Vec<f64> = (0..len).map(|_| next()).collect();
         prop_assert_eq!(dot(&w, &x).to_bits(), dot_spec(&w, &x).to_bits());
-    }
-
-    /// `axpy` equals the naive element-wise loop exactly at any length.
-    #[test]
-    fn axpy_matches_naive_loop(
-        a in -100.0f64..100.0,
-        x in finite_vec(37),
-        y in finite_vec(37),
-        len in 0usize..=37,
-    ) {
-        let x = &x[..len];
-        let mut chunked = y[..len].to_vec();
-        let mut naive = y[..len].to_vec();
-        axpy(a, x, &mut chunked);
-        for (yi, xi) in naive.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-        let cb: Vec<u64> = chunked.iter().map(|v| v.to_bits()).collect();
-        let nb: Vec<u64> = naive.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(cb, nb);
     }
 }
 
@@ -89,11 +63,9 @@ fn spec_defines_the_documented_lane_combine() {
 }
 
 /// Zero-length inputs are the all-tail/all-empty corner: both kernels
-/// return exactly 0.0 and axpy is a no-op.
+/// return exactly 0.0.
 #[test]
 fn empty_inputs() {
     assert_eq!(dot(&[], &[]).to_bits(), 0.0f64.to_bits());
     assert_eq!(dot_spec(&[], &[]).to_bits(), 0.0f64.to_bits());
-    let mut y: [f64; 0] = [];
-    axpy(3.0, &[], &mut y);
 }
