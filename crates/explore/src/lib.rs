@@ -54,6 +54,7 @@ pub mod qlearn;
 pub mod sa;
 pub mod space;
 pub mod sweep;
+mod table;
 pub mod warm;
 
 /// The structured trace/event layer (`flextensor-telemetry`), re-exported

@@ -280,7 +280,7 @@ impl<'a> Driver<'a> {
             Some(c) => 1.0 / c.seconds,
             None => 0.0,
         };
-        self.history.record(cfg.clone(), e);
+        self.history.record(cfg, e);
         e
     }
 

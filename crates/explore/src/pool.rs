@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,6 +51,8 @@ use flextensor_schedule::template::LoweredTemplate;
 use flextensor_sim::batch::FeatureBatch;
 use flextensor_sim::model::{Cost, Evaluator};
 use flextensor_telemetry::{Telemetry, TraceEvent};
+
+use crate::table::{hash_key, KeyTable};
 
 /// Number of independent shards in a [`MemoCache`]; bounds coordinator /
 /// worker contention when the cache is shared across threads.
@@ -121,111 +123,16 @@ impl Hasher for FnvHasher {
 /// A `HashMap` using [`FnvHasher`].
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
-/// Empty-slot sentinel in a [`Shard`]'s probe table.
-const EMPTY: u32 = u32::MAX;
-
-/// One probe-table slot: the key's full 64-bit hash (compared before any
-/// key bytes are touched, so probe misses stay in the table's cache
-/// lines) and the entry it points at (`EMPTY` = free).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    hash: u64,
-    idx: u32,
-}
-
-/// One live cache entry; its key lives in the shard's arena at
-/// `start..start + len`.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    start: u32,
-    len: u32,
-    value: Option<Cost>,
-}
-
-/// One [`MemoCache`] shard: an open-addressed (linear-probing) table over
-/// entries whose keys are packed back to back in a flat `i64` arena.
-///
-/// Compared to a `HashMap<Vec<i64>, _>`, an insert costs no allocation
-/// (key words append to the arena) and a lookup costs one probe run over
-/// 16-byte slots plus — only on a full 64-bit hash match — one key
-/// comparison against the arena. That removes the per-candidate malloc
-/// and the pointer chase per probe, which dominated the evaluation
-/// pipeline (see `docs/PERFORMANCE.md`).
-#[derive(Debug, Default)]
-struct Shard {
-    /// Power-of-two probe table (empty until the first insert).
-    slots: Vec<Slot>,
-    /// Live entries in insertion order.
-    entries: Vec<Entry>,
-    /// Key words of every live entry, back to back.
-    arena: Vec<i64>,
-}
-
-impl Shard {
-    /// Finds `key` (`Ok(entry index)`) or the free slot where it would be
-    /// inserted (`Err(slot index)`). Requires a non-empty probe table.
-    fn find(&self, hash: u64, key: &[i64]) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        // Probe from bits disjoint from the shard-selection bits (the low
-        // `log2(CACHE_SHARDS)` bits are constant within a shard).
-        let mut i = ((hash >> 7) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s.idx == EMPTY {
-                return Err(i);
-            }
-            if s.hash == hash {
-                let e = self.entries[s.idx as usize];
-                if self.arena[e.start as usize..(e.start + e.len) as usize] == *key {
-                    return Ok(s.idx as usize);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the probe table, re-seating the existing slots (entry and
-    /// arena storage is untouched — only 16-byte slots move).
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let mut slots = vec![
-            Slot {
-                hash: 0,
-                idx: EMPTY
-            };
-            new_len
-        ];
-        let mask = new_len - 1;
-        for s in &self.slots {
-            if s.idx == EMPTY {
-                continue;
-            }
-            let mut i = ((s.hash >> 7) as usize) & mask;
-            while slots[i].idx != EMPTY {
-                i = (i + 1) & mask;
-            }
-            slots[i] = *s;
-        }
-        self.slots = slots;
-    }
-
-    /// Generational flush: drops every entry but keeps the allocations.
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.arena.clear();
-        for s in &mut self.slots {
-            s.idx = EMPTY;
-        }
-    }
-}
-
 /// A concurrent, bounded memo table for evaluation results.
 ///
 /// Keys are the canonical integer encoding of a schedule point
 /// ([`NodeConfig::encode`]); values are the evaluator's verdict, including
 /// `None` for infeasible points, so infeasibility is memoized too.
-/// Internally each shard is an open-addressed table with keys packed in a
-/// flat arena (`Shard`), so a warm insert allocates nothing.
+/// Internally each shard is the crate's open-addressed key table with
+/// keys packed in a flat arena, so a warm insert allocates nothing. No
+/// caller code runs while a shard lock is held, so a panic elsewhere
+/// cannot leave a shard half-updated: a poisoned shard lock is recovered,
+/// not propagated.
 ///
 /// Bounding: each shard holds at most `capacity / CACHE_SHARDS` entries
 /// and is *flushed* (generationally cleared) when an insert would
@@ -233,7 +140,7 @@ impl Shard {
 /// as inserts happen in a deterministic order.
 #[derive(Debug)]
 pub struct MemoCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<KeyTable<Option<Cost>>>>,
     per_shard_capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -244,7 +151,7 @@ impl MemoCache {
     pub fn new(capacity: usize) -> MemoCache {
         MemoCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| Mutex::new(KeyTable::default()))
                 .collect(),
             per_shard_capacity: (capacity / CACHE_SHARDS).max(1),
             hits: AtomicUsize::new(0),
@@ -258,16 +165,16 @@ impl MemoCache {
     /// each one once and reuse it across [`MemoCache::peek_hashed`],
     /// in-batch duplicate detection, and [`MemoCache::insert_hashed`].
     pub fn hash(key: &[i64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &w in key {
-            h ^= w as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        hash_key(key)
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash % CACHE_SHARDS as u64) as usize]
+    /// Locks the shard for `hash`. Poisoning is recovered: every shard
+    /// update is a plain table write with no caller code inside the lock,
+    /// so a shard is consistent whenever its lock is released.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, KeyTable<Option<Cost>>> {
+        self.shards[(hash % CACHE_SHARDS as u64) as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks a key up **without** touching the hit/miss counters (the
@@ -278,15 +185,8 @@ impl MemoCache {
 
     /// [`MemoCache::peek`] with a precomputed [`MemoCache::hash`] of `key`.
     pub fn peek_hashed(&self, hash: u64, key: &[i64]) -> Option<Option<Cost>> {
-        debug_assert_eq!(hash, MemoCache::hash(key));
-        let shard = self.shard(hash).lock().expect("cache shard poisoned");
-        if shard.slots.is_empty() {
-            return None;
-        }
-        match shard.find(hash, key) {
-            Ok(idx) => Some(shard.entries[idx].value),
-            Err(_) => None,
-        }
+        let shard = self.shard(hash);
+        shard.get(hash, key).map(|id| *shard.value(id))
     }
 
     /// Inserts an evaluation result, flushing the target shard first when
@@ -299,45 +199,14 @@ impl MemoCache {
     /// [`MemoCache::insert`] with a precomputed [`MemoCache::hash`] of
     /// `key`.
     pub fn insert_hashed(&self, hash: u64, key: &[i64], value: Option<Cost>) {
-        debug_assert_eq!(hash, MemoCache::hash(key));
-        let mut shard = self.shard(hash).lock().expect("cache shard poisoned");
-        if shard.slots.is_empty() {
-            shard.slots = vec![
-                Slot {
-                    hash: 0,
-                    idx: EMPTY
-                };
-                64
-            ];
-        }
-        let mut free = match shard.find(hash, key) {
-            Ok(idx) => {
-                shard.entries[idx].value = value;
-                return;
-            }
-            Err(free) => free,
-        };
-        if shard.entries.len() >= self.per_shard_capacity
-            || shard.arena.len() + key.len() > u32::MAX as usize
-        {
+        let mut shard = self.shard(hash);
+        let full = shard.len() >= self.per_shard_capacity
+            || shard.arena_len() + key.len() > u32::MAX as usize;
+        if full && shard.get(hash, key).is_none() {
             // The insert would overflow the shard: generational flush.
             shard.clear();
-            free = ((hash >> 7) as usize) & (shard.slots.len() - 1);
-        } else if (shard.entries.len() + 1) * 8 > shard.slots.len() * 7 {
-            shard.grow();
-            free = shard
-                .find(hash, key)
-                .expect_err("key cannot appear during growth");
         }
-        let start = shard.arena.len() as u32;
-        shard.arena.extend_from_slice(key);
-        let idx = shard.entries.len() as u32;
-        shard.entries.push(Entry {
-            start,
-            len: key.len() as u32,
-            value,
-        });
-        shard.slots[free] = Slot { hash, idx };
+        shard.insert(hash, key, value);
     }
 
     /// Records `n` lookups answered from the cache.
@@ -354,7 +223,7 @@ impl MemoCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
             .sum()
     }
 
@@ -1747,6 +1616,37 @@ mod tests {
             Some(None)
         );
         assert_eq!(cache.peek_hashed(MemoCache::hash(&[9i64]), &[9i64]), None);
+    }
+
+    #[test]
+    fn poisoned_shard_is_recovered() {
+        let cache = MemoCache::new(1 << 10);
+        let key = [5i64, 6, 7];
+        let cost = Some(Cost {
+            seconds: 2.0,
+            flops: 4,
+        });
+        cache.insert(&key, cost);
+        let shard_of = |k: &[i64]| (MemoCache::hash(k) % CACHE_SHARDS as u64) as usize;
+        let shard = &cache.shards[shard_of(&key)];
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shard.lock().unwrap();
+                panic!("panic while holding a cache shard");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && shard.is_poisoned());
+        assert_eq!(cache.peek(&key), Some(cost));
+        // Insert into the poisoned shard itself.
+        let other = (8i64..)
+            .map(|w| [5i64, 6, w])
+            .find(|k| shard_of(k) == shard_of(&key))
+            .unwrap();
+        cache.insert(&other, None);
+        assert_eq!(cache.peek(&other), Some(None));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -377,9 +377,9 @@ impl NodeConfig {
     /// fuse depth is outside `0..spatial` / `1..=spatial`, when a boolean
     /// flag slot is not 0/1, or when an FPGA parameter is ≤ 0.
     pub fn decode(op: &ComputeOp, v: &[i64]) -> Result<NodeConfig, String> {
+        let layout = ConfigLayout::for_op(op);
         let ns = op.spatial.len();
-        let nr = op.reduce.len();
-        let expect = ns * SPATIAL_PARTS + nr * REDUCE_PARTS + ns + 7;
+        let expect = layout.words();
         if v.len() != expect {
             let class = if v.len() < expect {
                 "truncated"
@@ -391,24 +391,17 @@ impl NodeConfig {
                 v.len()
             ));
         }
-        let mut it = v.iter().copied();
-        let mut take = |n: usize| -> Vec<i64> { (&mut it).take(n).collect() };
-        let spatial_splits: Vec<Vec<i64>> = (0..ns).map(|_| take(SPATIAL_PARTS)).collect();
-        let reduce_splits: Vec<Vec<i64>> = (0..nr).map(|_| take(REDUCE_PARTS)).collect();
-        for f in spatial_splits.iter().chain(reduce_splits.iter()) {
-            if let Some(&bad) = f.iter().find(|&&x| x < 1) {
-                return Err(format!("split factor {bad} is not positive"));
-            }
+        let splits = expect - ns - 7;
+        if let Some(&bad) = v[..splits].iter().find(|&&x| x < 1) {
+            return Err(format!("split factor {bad} is not positive"));
         }
-        let raw_reorder = take(ns);
-        let mut reorder = Vec::with_capacity(ns);
-        for x in raw_reorder {
-            if x < 0 || x as usize >= ns {
-                return Err(format!("reorder entry {x} outside 0..{ns}"));
-            }
-            reorder.push(x as usize);
+        if let Some(&x) = v[splits..splits + ns]
+            .iter()
+            .find(|&&x| x < 0 || x as usize >= ns)
+        {
+            return Err(format!("reorder entry {x} outside 0..{ns}"));
         }
-        let rest = take(7);
+        let rest = &v[splits + ns..];
         if rest[0] < 1 || rest[0] as usize > ns {
             return Err(format!("fuse depth {} outside 1..={ns}", rest[0]));
         }
@@ -426,7 +419,30 @@ impl NodeConfig {
                 rest[5], rest[6]
             ));
         }
-        Ok(NodeConfig {
+        Ok(NodeConfig::from_words(&layout, v))
+    }
+
+    /// Rebuilds a config from its [`NodeConfig::encode`] words and its
+    /// [`ConfigLayout`], with no value checks: for every config `c`,
+    /// `from_words(&ConfigLayout::of(&c), &c.encode()) == c`. Needs no
+    /// op, so a store that keeps only encodings (the search history) can
+    /// hand configs back; [`NodeConfig::decode`] is this plus validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v.len() != layout.words()`.
+    pub fn from_words(layout: &ConfigLayout, v: &[i64]) -> NodeConfig {
+        assert_eq!(v.len(), layout.words(), "encoding does not fit its layout");
+        let mut it = v.iter().copied();
+        let mut take = |n: usize| -> Vec<i64> { (&mut it).take(n).collect() };
+        let spatial_splits = layout.spatial.iter().map(|&n| take(n)).collect();
+        let reduce_splits = layout.reduce.iter().map(|&n| take(n)).collect();
+        let reorder = take(layout.reorder)
+            .into_iter()
+            .map(|x| x as usize)
+            .collect();
+        let rest = take(7);
+        NodeConfig {
             spatial_splits,
             reduce_splits,
             reorder,
@@ -437,7 +453,7 @@ impl NodeConfig {
             inline_data: rest[4] != 0,
             fpga_partition: rest[5],
             fpga_pipeline: rest[6],
-        })
+        }
     }
 
     /// Product of the level-`k` spatial factors over all axes.
@@ -448,6 +464,59 @@ impl NodeConfig {
     /// Product of the level-`k` reduce factors over all axes.
     pub fn reduce_level_product(&self, k: usize) -> i64 {
         self.reduce_splits.iter().map(|f| f[k]).product()
+    }
+}
+
+/// The shape of a [`NodeConfig::encode`] vector: the split arity of every
+/// spatial and reduce axis, and the reorder length. Configs of one op
+/// share a layout; a config's words plus its layout rebuild it exactly
+/// ([`NodeConfig::from_words`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ConfigLayout {
+    spatial: Vec<usize>,
+    reduce: Vec<usize>,
+    reorder: usize,
+}
+
+impl ConfigLayout {
+    /// The layout of `cfg`'s encoding.
+    pub fn of(cfg: &NodeConfig) -> ConfigLayout {
+        ConfigLayout {
+            spatial: cfg.spatial_splits.iter().map(Vec::len).collect(),
+            reduce: cfg.reduce_splits.iter().map(Vec::len).collect(),
+            reorder: cfg.reorder.len(),
+        }
+    }
+
+    /// The layout every well-formed config of `op` has.
+    pub fn for_op(op: &ComputeOp) -> ConfigLayout {
+        ConfigLayout {
+            spatial: vec![SPATIAL_PARTS; op.spatial.len()],
+            reduce: vec![REDUCE_PARTS; op.reduce.len()],
+            reorder: op.spatial.len(),
+        }
+    }
+
+    /// Whether `cfg` has this layout (no allocation).
+    pub fn matches(&self, cfg: &NodeConfig) -> bool {
+        self.reorder == cfg.reorder.len()
+            && self.spatial.len() == cfg.spatial_splits.len()
+            && self.reduce.len() == cfg.reduce_splits.len()
+            && self
+                .spatial
+                .iter()
+                .zip(&cfg.spatial_splits)
+                .all(|(&n, f)| n == f.len())
+            && self
+                .reduce
+                .iter()
+                .zip(&cfg.reduce_splits)
+                .all(|(&n, f)| n == f.len())
+    }
+
+    /// Length of an encoding with this layout.
+    pub fn words(&self) -> usize {
+        self.spatial.iter().sum::<usize>() + self.reduce.iter().sum::<usize>() + self.reorder + 7
     }
 }
 
@@ -504,6 +573,32 @@ mod tests {
         let v = c.encode();
         let d = NodeConfig::decode(&op, &v).unwrap();
         assert_eq!(c, d);
+        assert_eq!(ConfigLayout::of(&c), ConfigLayout::for_op(&op));
+    }
+
+    #[test]
+    fn from_words_rebuilds_any_layout_exactly() {
+        // No value is checked, so even a config `validate` would reject
+        // (odd split arities, out-of-range reorder / fuse) round-trips.
+        let c = NodeConfig {
+            spatial_splits: vec![vec![2, 3], vec![-5], vec![]],
+            reduce_splits: vec![vec![7, 1, 1, 1, 1]],
+            reorder: vec![usize::MAX, 0, 9],
+            fuse_outer: 40,
+            unroll: true,
+            vectorize: false,
+            cache_shared: true,
+            inline_data: true,
+            fpga_partition: -3,
+            fpga_pipeline: 0,
+        };
+        let layout = ConfigLayout::of(&c);
+        assert!(layout.matches(&c));
+        assert_eq!(layout.words(), c.encode().len());
+        assert_eq!(NodeConfig::from_words(&layout, &c.encode()), c);
+        let naive = NodeConfig::naive(&gemm_op());
+        assert!(!layout.matches(&naive));
+        assert!(ConfigLayout::for_op(&gemm_op()).matches(&naive));
     }
 
     #[test]

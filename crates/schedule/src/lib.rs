@@ -57,7 +57,7 @@ pub mod nest;
 pub mod primitives;
 pub mod template;
 
-pub use config::{NodeConfig, TargetKind, REDUCE_PARTS, SPATIAL_PARTS};
+pub use config::{ConfigLayout, NodeConfig, TargetKind, REDUCE_PARTS, SPATIAL_PARTS};
 pub use delta::{delta_features, delta_features_with, DeltaEvaluator, DeltaScratch};
 pub use features::{FpgaFeatures, KernelFeatures};
 pub use lower::{lower, lower_naive, LowerError, LoweredKernel};

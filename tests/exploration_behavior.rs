@@ -177,3 +177,101 @@ fn autotvm_and_flextensor_agree_on_cost_model() {
         at.best_cost.seconds
     );
 }
+
+/// Pinned P-method results at default options: gemm and conv2d on each
+/// device model, every run with a history above 10k points. The encoding,
+/// cost bits, measurement count and exploration-time bits are what the
+/// search history's starting-point sampling decides, so any drift in it
+/// (key order, weight sums, draw resolution) moves at least one of them.
+#[test]
+fn p_method_results_are_pinned() {
+    use flextensor_sim::spec::{vu9p, xeon_e5_2699_v4};
+    type Pin = (&'static str, &'static [i64], u64, usize, u64);
+    let pins: [Pin; 6] = [
+        (
+            "gemm V100",
+            &[
+                16, 1, 16, 1, 8, 1, 16, 2, 1, 16, 16, 0, 1, 2, 1, 1, 1, 0, 4, 1,
+            ],
+            0x3ef0_8062_074c_9da1,
+            15992,
+            0x40c9_b340_2683_30da,
+        ),
+        (
+            "gemm Xeon",
+            &[8, 2, 4, 4, 8, 1, 4, 8, 2, 16, 8, 0, 1, 2, 1, 1, 0, 1, 4, 1],
+            0x3f03_8a63_303d_02e8,
+            17417,
+            0x40cb_4960_1918_7f9f,
+        ),
+        (
+            "gemm VU9P",
+            &[
+                1, 1, 32, 8, 8, 8, 4, 1, 4, 4, 16, 1, 0, 2, 0, 1, 0, 1, 16, 3,
+            ],
+            0x3f20_9090_7b01_7290,
+            17901,
+            0x40cc_1324_ba1e_406b,
+        ),
+        (
+            "conv2d V100",
+            &[
+                1, 1, 1, 1, 8, 1, 8, 1, 2, 1, 7, 1, 1, 1, 14, 1, 4, 4, 2, 1, 3, 1, 1, 3, 1, 2, 0,
+                1, 3, 4, 1, 1, 1, 1, 1, 3,
+            ],
+            0x3ee8_786d_d950_4bbc,
+            21857,
+            0x40d1_182b_67b8_81dc,
+        ),
+        (
+            "conv2d Xeon",
+            &[
+                1, 1, 1, 1, 16, 1, 2, 2, 14, 1, 1, 1, 1, 2, 1, 7, 1, 4, 8, 3, 1, 1, 1, 1, 3, 2, 1,
+                0, 3, 2, 0, 1, 0, 1, 1, 1,
+            ],
+            0x3eeb_6bdf_9e0f_574c,
+            22414,
+            0x40d1_8c39_d226_22ed,
+        ),
+        (
+            "conv2d VU9P",
+            &[
+                1, 1, 1, 1, 4, 4, 4, 1, 1, 1, 2, 7, 1, 1, 14, 1, 4, 1, 8, 1, 3, 1, 1, 1, 3, 1, 0,
+                2, 3, 2, 0, 1, 0, 1, 16, 3,
+            ],
+            0x3efc_7d08_8e94_2738,
+            24437,
+            0x40d3_211a_1792_14f7,
+        ),
+    ];
+    let graphs = [
+        ops::gemm(256, 256, 256),
+        ops::conv2d(ConvParams::same(1, 32, 64, 3), 14, 14),
+    ];
+    let devices = [
+        Device::Gpu(v100()),
+        Device::Cpu(xeon_e5_2699_v4()),
+        Device::Fpga(vu9p()),
+    ];
+    let runs = graphs
+        .iter()
+        .flat_map(|g| devices.iter().map(move |d| (g, d)));
+    for ((g, d), (label, enc, cost_bits, measurements, time_bits)) in runs.zip(pins) {
+        let r = search(
+            g,
+            &Evaluator::new(d.clone()),
+            Method::PMethod,
+            &SearchOptions::default(),
+        )
+        .unwrap();
+        assert!(r.measurements > 10_000, "{label}: history too small");
+        assert_eq!(r.best.encode(), enc, "{label}: best encoding");
+        assert_eq!(r.best_cost.seconds.to_bits(), cost_bits, "{label}: cost");
+        assert_eq!(r.measurements, measurements, "{label}: measurements");
+        assert_eq!(
+            r.exploration_time_s.to_bits(),
+            time_bits,
+            "{label}: exploration time"
+        );
+    }
+}

@@ -1,6 +1,7 @@
 //! Failure-injection tests: malformed kernels, configs and inputs must be
 //! rejected with errors — never silently produce wrong results or panic.
 
+use flextensor_explore::qlearn::{QAgent, Transition};
 use flextensor_interp::eval::{Buffer, Store};
 use flextensor_interp::machine::run_kernel;
 use flextensor_interp::reference::random_inputs;
@@ -10,6 +11,8 @@ use flextensor_ir::ops::{self, ConvParams};
 use flextensor_schedule::config::{NodeConfig, TargetKind};
 use flextensor_schedule::lower::{lower, lower_naive, LoweredKernel};
 use flextensor_schedule::nest::{LoopKind, Stmt};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn kernel_with(stmts: Vec<Stmt>) -> LoweredKernel {
     let g = ops::gemm(4, 4, 4);
@@ -226,4 +229,34 @@ fn failing_tune_is_isolated_to_its_key_and_leaves_no_record() {
     let retry = server.session("retry");
     let r = retry.submit(bad, device).wait().unwrap();
     assert!(matches!(r.source, ServeSource::Fresh { .. }));
+}
+
+/// Runs trials until the agent trains, returning that round's loss.
+fn train_round(agent: &mut QAgent, rng: &mut StdRng) -> f64 {
+    (0..1000)
+        .find_map(|_| agent.end_trial(rng))
+        .expect("the agent trains within 1000 trials")
+}
+
+#[test]
+fn nan_reward_yields_a_non_finite_loss_without_touching_the_q_network() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut agent = QAgent::new(3, 4, &mut rng);
+    let state = vec![0.2, -0.4, 0.9];
+    let step = |action, reward| Transition {
+        state: state.clone(),
+        action,
+        reward,
+        next_state: vec![0.3, -0.4, 0.8],
+    };
+    agent.record(step(1, 0.5));
+    assert!(train_round(&mut agent, &mut rng).is_finite());
+    let before: Vec<u64> = agent.q_values(&state).iter().map(|q| q.to_bits()).collect();
+
+    // A NaN energy becomes a NaN reward: the round reports a non-finite
+    // loss instead of panicking, and the parameters stay as they were.
+    agent.record(step(2, f64::NAN));
+    assert!(!train_round(&mut agent, &mut rng).is_finite());
+    let after: Vec<u64> = agent.q_values(&state).iter().map(|q| q.to_bits()).collect();
+    assert_eq!(after, before);
 }
