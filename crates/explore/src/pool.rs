@@ -18,14 +18,11 @@
 //! only pays the cheap config-apply step (identical results to a full
 //! re-lowering — see `docs/PERFORMANCE.md`). The re-lowering path is kept
 //! behind [`EvalPool::new_reference`] for differential tests and the
-//! `probe_perf` baseline. Cost-model scoring is *batched*: candidates'
-//! features are gathered into a structure-of-arrays
-//! [`FeatureBatch`] and scored through one
-//! [`Evaluator::time_features_batch`] call per coordinator batch (or per
-//! claimed worker chunk), bit-identical to scalar scoring by that API's
-//! determinism contract. Memo keys are hashed once per candidate, and
-//! neighbor batches derive each candidate's key from its base's key by
-//! patching only the changed words ([`NodeConfig::encode_delta_into`]).
+//! `probe_perf` baseline. Each candidate is scored with
+//! [`Evaluator::time_features`] right where its features are derived.
+//! Memo keys are hashed once per candidate, and neighbor batches derive
+//! each candidate's key from its base's key by patching only the changed
+//! words ([`NodeConfig::encode_delta_into`]).
 //!
 //! Determinism argument: the evaluator is a pure function of
 //! `(graph, config)`, candidate batches are constructed before any
@@ -48,7 +45,6 @@ use flextensor_schedule::config::NodeConfig;
 use flextensor_schedule::delta::{delta_features_with, DeltaScratch};
 use flextensor_schedule::features::KernelFeatures;
 use flextensor_schedule::template::LoweredTemplate;
-use flextensor_sim::batch::FeatureBatch;
 use flextensor_sim::model::{Cost, Evaluator};
 use flextensor_telemetry::{Telemetry, TraceEvent};
 
@@ -70,10 +66,9 @@ const CACHE_SHARDS: usize = 16;
 const INLINE_BATCH: usize = 1024;
 
 /// Fan-out work-claim granularity: a worker claims this many candidates
-/// per `fetch_add` and scores them through one batched cost-model call
-/// ([`Evaluator::time_features_batch`]). Result slots are pre-assigned per
-/// candidate, so the chunk size only changes load balancing and the
-/// batching of the scoring loop — never a result or a counter.
+/// per `fetch_add`, trading claim traffic on the shared counter against
+/// load balance. Result slots are pre-assigned per candidate, so the
+/// chunk size only changes load balancing — never a result or a counter.
 const WORKER_CHUNK: usize = 32;
 
 /// FNV-1a for the pool's integer-keyed maps. The standard library's
@@ -378,6 +373,11 @@ struct EvalCtx {
 /// function of the bucket key, so concurrent workers computing the same
 /// bucket insert the same value — counters derived from the memo are
 /// deterministic in the worker count.
+///
+/// A poisoned memo lock is recovered, not propagated: the map holds plain
+/// `bool` verdicts and `analyze_region` runs outside the lock, so every
+/// update is a single insert and the map is valid whenever the lock is
+/// released.
 struct RegionGateState {
     /// Bucket signature → "the whole region is statically illegal".
     memo: Mutex<FnvMap<Vec<i64>, bool>>,
@@ -441,108 +441,55 @@ fn region_bucket(cfg: &NodeConfig) -> Option<flextensor_analyze::Region> {
     .ok()
 }
 
-/// What one candidate contributed to a feature batch, before scoring.
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    /// A feature row was pushed; the verdict comes from the batched
-    /// scoring pass. When `false` the verdict is already `None`
-    /// (config-invalid or gate-rejected).
-    valid: bool,
-    /// The analyzer gate (or a config-level legality error on a gated
-    /// pool) rejected the point before the cost model.
-    pruned: bool,
-    /// The incremental (delta) feature path served the point.
-    took_delta: bool,
-}
-
 impl EvalCtx {
-    /// Derives the features for one point — incrementally from `base` when
-    /// delta evaluation is on and a base is available — and appends them to
-    /// `batch` as one row when the point is scoreable. Scoring happens
-    /// separately, over the whole batch, through
-    /// [`Evaluator::time_features_batch`] (bit-identical to scoring rows
-    /// one at a time; see `flextensor_sim::batch`).
+    /// Evaluates one point: derives its features — incrementally from
+    /// `base` when delta evaluation is on and a base is available — and
+    /// scores them with [`Evaluator::time_features`]. Returns the
+    /// `(cost, pruned, took_delta)` triple the reduction step consumes:
+    /// `pruned` when a static gate (or a config-level legality error on a
+    /// gated pool) rejected the point before the cost model, `took_delta`
+    /// when the incremental feature path served it.
     ///
     /// The delta/full decision is a pure function of `(base, cfg)` — it
     /// never depends on which worker runs the item or in what order — so
     /// results *and counters* are deterministic across worker counts.
-    fn features_into(
+    fn evaluate_one(
         &self,
         cfg: &NodeConfig,
         base: Option<&(NodeConfig, KernelFeatures)>,
         scratch: &mut DeltaScratch,
-        batch: &mut FeatureBatch,
-    ) -> RowMeta {
+    ) -> (Option<Cost>, bool, bool) {
         if self.region_rejects(cfg) {
-            return RowMeta {
-                valid: false,
-                pruned: true,
-                took_delta: false,
-            };
+            return (None, true, false);
         }
-        if let (true, Some((base_cfg, base_features))) = (self.delta_eval, base) {
-            return match delta_features_with(&self.template, base_cfg, base_features, cfg, scratch)
-            {
-                Ok((features, took_delta)) => {
-                    if self.analyzer_gate
-                        && flextensor_analyze::gate_rejects(self.evaluator.device(), &features)
-                            .is_some()
-                    {
-                        RowMeta {
-                            valid: false,
-                            pruned: true,
-                            took_delta,
-                        }
-                    } else {
-                        batch.push(&features);
-                        RowMeta {
-                            valid: true,
-                            pruned: false,
-                            took_delta,
-                        }
-                    }
-                }
-                // Invalid for the graph: same verdict (and same pruned
-                // semantics) as the full path below.
-                Err(_) => RowMeta {
-                    valid: false,
-                    pruned: self.analyzer_gate,
-                    took_delta: false,
-                },
-            };
-        }
-        let features = if self.use_template {
-            self.template.features(cfg).ok()
-        } else {
-            let target = self.evaluator.target();
-            flextensor_schedule::lower::lower(&self.graph, cfg, target)
-                .ok()
-                .map(|k| k.features)
+        let features = match (self.delta_eval, base) {
+            (true, Some((base_cfg, base_features))) => {
+                delta_features_with(&self.template, base_cfg, base_features, cfg, scratch).ok()
+            }
+            _ if self.use_template => self.template.features(cfg).ok().map(|f| (f, false)),
+            _ => {
+                let target = self.evaluator.target();
+                flextensor_schedule::lower::lower(&self.graph, cfg, target)
+                    .ok()
+                    .map(|k| (k.features, false))
+            }
         };
-        let Some(features) = features else {
+        let Some((features, took_delta)) = features else {
             // Invalid for the graph (a config-level legality error); gated
             // pools report it as pruned, plain pools as a bare `None`.
-            return RowMeta {
-                valid: false,
-                pruned: self.analyzer_gate,
-                took_delta: false,
-            };
+            return (None, self.analyzer_gate, false);
         };
         if self.analyzer_gate
             && flextensor_analyze::gate_rejects(self.evaluator.device(), &features).is_some()
         {
-            return RowMeta {
-                valid: false,
-                pruned: true,
-                took_delta: false,
-            };
+            return (None, true, took_delta);
         }
-        batch.push(&features);
-        RowMeta {
-            valid: true,
-            pruned: false,
-            took_delta: false,
-        }
+        let flops = self.flops();
+        let cost = self
+            .evaluator
+            .time_features(&features)
+            .map(|seconds| Cost { seconds, flops });
+        (cost, false, took_delta)
     }
 
     /// The live region gate: buckets `cfg` into the power-of-two factor
@@ -560,7 +507,7 @@ impl EvalCtx {
         let cached = gate
             .memo
             .lock()
-            .expect("region memo poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
             .copied();
         let illegal = match cached {
@@ -581,7 +528,7 @@ impl EvalCtx {
                 };
                 gate.memo
                     .lock()
-                    .expect("region memo poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .insert(key, v);
                 v
             }
@@ -600,32 +547,6 @@ impl EvalCtx {
             self.template.graph_flops()
         } else {
             self.graph.flops()
-        }
-    }
-
-    /// Scores the gathered feature rows and zips the verdicts back onto
-    /// the per-candidate metadata, producing the `(cost, pruned,
-    /// took_delta)` triples the reduction step consumes. `scores` is the
-    /// caller's reusable output buffer for the batched scoring call.
-    fn score_batch(
-        &self,
-        batch: &FeatureBatch,
-        metas: &[RowMeta],
-        scores: &mut Vec<Option<f64>>,
-        out: &mut dyn FnMut(usize, (Option<Cost>, bool, bool)),
-    ) {
-        self.evaluator.time_features_batch(batch, scores);
-        let flops = self.flops();
-        let mut row = 0usize;
-        for (k, m) in metas.iter().enumerate() {
-            let cost = if m.valid {
-                let s = scores[row];
-                row += 1;
-                s.map(|seconds| Cost { seconds, flops })
-            } else {
-                None
-            };
-            out(k, (cost, m.pruned, m.took_delta));
         }
     }
 }
@@ -665,15 +586,12 @@ pub struct EvalPool {
     /// result vector: the flat key buffer (all candidate encodings back to
     /// back), the end offset of each key in it, the per-key hash (computed
     /// once, reused by peek / duplicate check / insert), the flat buffer
-    /// of base keys for delta batches, and the serial-path feature, batch,
-    /// and score scratch.
+    /// of base keys for delta batches, and the serial-path delta scratch.
     key_buf: Vec<i64>,
     key_ends: Vec<usize>,
     key_hashes: Vec<u64>,
     base_key_buf: Vec<i64>,
     inline_scratch: DeltaScratch,
-    feature_batch: FeatureBatch,
-    score_buf: Vec<Option<f64>>,
 }
 
 impl std::fmt::Debug for EvalPool {
@@ -894,18 +812,11 @@ impl EvalPool {
                 let ctx = Arc::clone(&ctx);
                 let done_tx = done_tx.clone();
                 handles.push(std::thread::spawn(move || {
-                    // Per-worker scratch, reused across batches: the delta
-                    // arena, the feature-batch columns, and the score
-                    // buffer.
+                    // Per-worker delta arena, reused across batches.
                     let mut scratch = DeltaScratch::new();
-                    let mut batch = FeatureBatch::new();
-                    let mut scores: Vec<Option<f64>> = Vec::new();
-                    let mut metas: Vec<RowMeta> = Vec::new();
                     while let Ok(job) = job_rx.recv() {
                         loop {
-                            // Claim a chunk: derive features for every
-                            // candidate in it, then score them through one
-                            // batched cost-model call. Slots are
+                            // Claim a chunk of candidates. Slots are
                             // pre-assigned, so chunking only changes load
                             // balancing, never a result.
                             let start = job.next.fetch_add(WORKER_CHUNK, Ordering::Relaxed);
@@ -913,20 +824,11 @@ impl EvalPool {
                                 break;
                             }
                             let end = (start + WORKER_CHUNK).min(job.configs.len());
-                            batch.clear();
-                            metas.clear();
                             for i in start..end {
                                 let base = job.base_idx[i].map(|b| &job.bases[b]);
-                                metas.push(ctx.features_into(
-                                    &job.configs[i],
-                                    base,
-                                    &mut scratch,
-                                    &mut batch,
-                                ));
+                                let outcome = ctx.evaluate_one(&job.configs[i], base, &mut scratch);
+                                let _ = job.results[i].set(outcome);
                             }
-                            ctx.score_batch(&batch, &metas, &mut scores, &mut |k, triple| {
-                                let _ = job.results[start + k].set(triple);
-                            });
                         }
                         drop(job);
                         if done_tx.send(()).is_err() {
@@ -953,8 +855,6 @@ impl EvalPool {
             key_hashes: Vec::new(),
             base_key_buf: Vec::new(),
             inline_scratch: DeltaScratch::new(),
-            feature_batch: FeatureBatch::new(),
-            score_buf: Vec::new(),
         }
     }
 
@@ -1148,48 +1048,36 @@ impl EvalPool {
 
         // Evaluate the misses — inline when serial or too small to
         // amortize dispatch (see [`INLINE_BATCH`]), fanned out over the
-        // persistent workers otherwise. Either way the evaluation is
-        // split-phase: features first (delta-aware), then one batched
-        // cost-model scoring call per chunk.
-        let fresh: Vec<(Option<Cost>, bool, bool)> =
-            if self.senders.is_empty() || work.len() <= self.ctx.inline_batch.max(1) {
-                let ctx = &self.ctx;
-                let scratch = &mut self.inline_scratch;
-                let batch = &mut self.feature_batch;
-                batch.clear();
-                let metas: Vec<RowMeta> = work
-                    .iter()
-                    .zip(&base_idx)
-                    .map(|(&i, &b)| {
-                        ctx.features_into(&configs[i], b.map(|bi| &job_bases[bi]), scratch, batch)
-                    })
-                    .collect();
-                let mut fresh: Vec<(Option<Cost>, bool, bool)> =
-                    vec![(None, false, false); metas.len()];
-                ctx.score_batch(batch, &metas, &mut self.score_buf, &mut |k, triple| {
-                    fresh[k] = triple;
-                });
-                fresh
-            } else {
-                let job = Arc::new(BatchJob {
-                    configs: work.iter().map(|&i| configs[i].clone()).collect(),
-                    bases: job_bases,
-                    base_idx,
-                    next: AtomicUsize::new(0),
-                    results: (0..work.len()).map(|_| OnceLock::new()).collect(),
-                });
-                for tx in &self.senders {
-                    tx.send(Arc::clone(&job)).expect("evaluation worker died");
-                }
-                let done = self.done_rx.as_ref().expect("pool has workers");
-                for _ in 0..self.senders.len() {
-                    done.recv().expect("evaluation worker died");
-                }
-                job.results
-                    .iter()
-                    .map(|slot| *slot.get().expect("every claimed slot is filled"))
-                    .collect()
-            };
+        // persistent workers otherwise.
+        let fresh: Vec<(Option<Cost>, bool, bool)> = if self.senders.is_empty()
+            || work.len() <= self.ctx.inline_batch.max(1)
+        {
+            let ctx = &self.ctx;
+            let scratch = &mut self.inline_scratch;
+            work.iter()
+                .zip(&base_idx)
+                .map(|(&i, &b)| ctx.evaluate_one(&configs[i], b.map(|bi| &job_bases[bi]), scratch))
+                .collect()
+        } else {
+            let job = Arc::new(BatchJob {
+                configs: work.iter().map(|&i| configs[i].clone()).collect(),
+                bases: job_bases,
+                base_idx,
+                next: AtomicUsize::new(0),
+                results: (0..work.len()).map(|_| OnceLock::new()).collect(),
+            });
+            for tx in &self.senders {
+                tx.send(Arc::clone(&job)).expect("evaluation worker died");
+            }
+            let done = self.done_rx.as_ref().expect("pool has workers");
+            for _ in 0..self.senders.len() {
+                done.recv().expect("evaluation worker died");
+            }
+            job.results
+                .iter()
+                .map(|slot| *slot.get().expect("every claimed slot is filled"))
+                .collect()
+        };
 
         // Reduce in candidate order: publish fresh results, then resolve
         // duplicates as hits.
@@ -1253,7 +1141,10 @@ impl EvalPool {
         let (region_pruned, regions_analyzed) = match &self.ctx.region_gate {
             Some(gate) => (
                 gate.pruned.load(Ordering::Relaxed),
-                gate.memo.lock().expect("region memo poisoned").len(),
+                gate.memo
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .len(),
             ),
             None => (0, 0),
         };
@@ -1647,6 +1538,48 @@ mod tests {
         cache.insert(&other, None);
         assert_eq!(cache.peek(&other), Some(None));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn poisoned_region_memo_is_recovered() {
+        let (g, ev) = setup();
+        let space = crate::space::Space::new(&g, ev.target());
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut cands: Vec<_> = (0..40).map(|_| space.random_point(&mut rng)).collect();
+        // Thread blocks of 2048 and 4096 threads: every member of their
+        // power-of-two boxes exceeds the V100's 1024, so the gate prunes.
+        for threads in [[32, 64], [64, 64]] {
+            let mut bad = NodeConfig::naive(g.root_op());
+            bad.spatial_splits = vec![
+                vec![1, 1, threads[0], 64 / threads[0]],
+                vec![1, 1, threads[1], 64 / threads[1]],
+            ];
+            cands.push(bad);
+        }
+        let gated = |workers| EvalPool::new_region_gated(&g, &ev, workers, 1 << 16, false, false);
+        let mut healthy = gated(1);
+        let expected = healthy.evaluate_batch(&cands);
+        assert!(
+            healthy.stats().region_pruned > 0,
+            "the batch must exercise the gate"
+        );
+        for workers in [1, 4] {
+            let mut pool = gated(workers);
+            let memo = &pool.ctx.region_gate.as_ref().unwrap().memo;
+            let panicked = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _guard = memo.lock().unwrap();
+                    panic!("panic while holding the region memo");
+                })
+                .join()
+                .is_err()
+            });
+            assert!(panicked && memo.is_poisoned());
+            assert_eq!(pool.evaluate_batch(&cands), expected);
+            let (s, h) = (pool.stats(), healthy.stats());
+            assert_eq!(s.region_pruned, h.region_pruned);
+            assert_eq!(s.regions_analyzed, h.regions_analyzed);
+        }
     }
 
     #[test]

@@ -1,115 +1,28 @@
-//! Batched cost-model scoring over a structure-of-arrays feature matrix.
+//! A plain row store for scoring many feature rows in one call.
 //!
-//! The exploration hot loop scores hundreds of candidates per batch; going
-//! through [`crate::model::Evaluator::time_features`] one candidate at a
-//! time pays the device dispatch, the `Option` plumbing, and a scattered
-//! walk over each ~200-byte [`KernelFeatures`] struct per call. This module
-//! flips the layout: a [`FeatureBatch`] holds one column per feature the
-//! cost models actually read, and the per-target `*_time_batch` kernels
-//! sweep those columns in fixed-width chunks of [`LANES`] rows (gather a
-//! chunk of rows, then score it), amortizing dispatch and bounds checks
-//! across the batch. An explicit tail loop handles `len % LANES != 0`.
+//! [`FeatureBatch`] and [`crate::model::Evaluator::time_features_batch`]
+//! are kept for the repository benchmark's off-path replay, which pushes
+//! a batch's fresh candidates and re-scores them to time the cost model
+//! on its own. Nothing on the search path uses them: the evaluation pool
+//! scores each candidate with [`crate::model::Evaluator::time_features`]
+//! right where its features are derived.
 //!
-//! # Determinism contract
-//!
-//! The batched path is **bit-identical** to the scalar path by
-//! construction: both funnel into the same per-row kernels
-//! (`cpu_time_row` / `gpu_time_row` / `fpga_time_row`), so
-//! `time_features_batch(batch)[i] == time_features(&features[i])` exactly,
-//! for every batch size including ragged tails and the empty batch. The
-//! scalar path stays as the reference; `tests/batch_differential.rs` and
-//! the property suite enforce the equivalence bit-for-bit.
+//! Scoring a batch is mapping `time_features` over its rows, so
+//! `time_features_batch(batch)[i] == time_features(&rows[i])` bit for bit
+//! (`tests/batch_differential.rs`).
 
 use flextensor_schedule::features::KernelFeatures;
 
-use crate::cpu::{cpu_time_row, CpuRow};
-use crate::fpga::{fpga_time_row, FpgaRow};
-use crate::gpu::{gpu_time_chunk, gpu_time_row, gpu_time_row_tabled, GpuCols, GpuRow, GpuTables};
-use crate::spec::{CpuSpec, FpgaSpec, GpuSpec};
-
-/// Fixed chunk width of the batched scoring loops.
-pub const LANES: usize = 8;
-
-/// Batches at or above this many rows build the per-batch division memo
-/// tables (e.g. [`GpuTables`]) before scoring; below it, table setup
-/// (~a hundred divisions) would cost more than it saves. The threshold
-/// only selects between two bit-identical ways of computing the same
-/// quotients, so its exact value never changes a result.
-const TABLE_MIN_ROWS: usize = 64;
-
-/// Chunked structure-of-arrays feature matrix: one reusable, growable
-/// scratch holding the union of the columns the CPU/GPU/FPGA cost models
-/// read.
-///
-/// Rows are appended with [`FeatureBatch::push`] (one row per
-/// [`KernelFeatures`]) and the whole batch is scored in one call through
-/// [`crate::model::Evaluator::time_features_batch`]. The owner (e.g. the
-/// evaluation pool) keeps the batch alive across calls and [`clear`]s it
-/// between uses, so steady-state batches allocate nothing.
-///
-/// # Layout
-///
-/// All columns live in **one arena**: rows are grouped into chunks of
-/// [`LANES`], and each chunk stores its `COLS` (26) columns back to back as
-/// `LANES`-wide lane arrays —
-/// `data[chunk * COLS * LANES + col * LANES + lane]`. One allocation, one
-/// forward stream: scoring a chunk touches one contiguous block, and the
-/// column addresses can never alias each other in the cache the way
-/// separately allocated per-column vectors can (same-sized heap blocks
-/// tend to land congruent modulo the page size, folding every column onto
-/// the same few L1 sets).
-///
-/// Columns (fixed order, see the `C_*` indices): `flops` (stored as the
-/// `u64` value's `i64` bits); `grid`, `parallel_chunks`, `vthreads`,
-/// `block_threads`, `thread_tile`, `reduce_outer`, `vector_len`,
-/// `shared_bytes_per_block`, `thread_reg_bytes`, `l1_tile_bytes`,
-/// `l2_tile_bytes`, `input_bytes_total`, `output_bytes`,
-/// `data_node_bytes`; the flags `unroll`, `contiguous_inner`,
-/// `cache_shared`, `fpga_present` stored as 0/1; and the seven FPGA
-/// pipeline columns (`fpga_pe` … `fpga_pipeline`, zero-filled when
-/// `fpga_present` is 0).
+/// A reusable list of feature rows, scored in one call through
+/// [`crate::model::Evaluator::time_features_batch`]. [`clear`] keeps the
+/// allocation, so a batch reused across calls stops allocating once it
+/// has grown.
 ///
 /// [`clear`]: FeatureBatch::clear
 #[derive(Debug, Default, Clone)]
 pub struct FeatureBatch {
-    /// The chunked column arena: `ceil(len / LANES) * COLS * LANES` words.
-    data: Vec<i64>,
-    /// Number of pushed rows.
-    len: usize,
+    rows: Vec<KernelFeatures>,
 }
-
-/// Number of feature columns in the arena.
-const COLS: usize = 26;
-/// Arena words per chunk of [`LANES`] rows.
-const CHUNK_WORDS: usize = COLS * LANES;
-
-// Column indices into a chunk block.
-const C_FLOPS: usize = 0;
-const C_GRID: usize = 1;
-const C_PARALLEL_CHUNKS: usize = 2;
-const C_VTHREADS: usize = 3;
-const C_BLOCK_THREADS: usize = 4;
-const C_THREAD_TILE: usize = 5;
-const C_REDUCE_OUTER: usize = 6;
-const C_VECTOR_LEN: usize = 7;
-const C_SHARED_BYTES_PER_BLOCK: usize = 8;
-const C_THREAD_REG_BYTES: usize = 9;
-const C_L1_TILE_BYTES: usize = 10;
-const C_L2_TILE_BYTES: usize = 11;
-const C_INPUT_BYTES_TOTAL: usize = 12;
-const C_OUTPUT_BYTES: usize = 13;
-const C_DATA_NODE_BYTES: usize = 14;
-const C_UNROLL: usize = 15;
-const C_CONTIGUOUS_INNER: usize = 16;
-const C_CACHE_SHARED: usize = 17;
-const C_FPGA_PRESENT: usize = 18;
-const C_FPGA_PE: usize = 19;
-const C_FPGA_ROUNDS: usize = 20;
-const C_FPGA_BUFFER_BYTES: usize = 21;
-const C_FPGA_STREAM_BYTES: usize = 22;
-const C_FPGA_WRITE_BYTES: usize = 23;
-const C_FPGA_PARTITION: usize = 24;
-const C_FPGA_PIPELINE: usize = 25;
 
 impl FeatureBatch {
     /// Creates an empty batch.
@@ -119,378 +32,27 @@ impl FeatureBatch {
 
     /// Number of rows currently in the batch.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
-    /// Removes all rows, keeping the arena allocation for reuse.
+    /// Removes all rows, keeping the allocation for reuse.
     pub fn clear(&mut self) {
-        self.data.clear();
-        self.len = 0;
+        self.rows.clear();
     }
 
-    /// Appends one row, transposing `f` into the chunk's column arrays.
+    /// Appends one row (a copy of `f`).
     pub fn push(&mut self, f: &KernelFeatures) {
-        let lane = self.len % LANES;
-        if lane == 0 {
-            self.data.resize(self.data.len() + CHUNK_WORDS, 0);
-        }
-        let start = self.data.len() - CHUNK_WORDS;
-        let block: &mut [i64; CHUNK_WORDS] = (&mut self.data[start..])
-            .try_into()
-            .expect("arena ends with one full chunk block");
-        let mut set = |col: usize, v: i64| block[col * LANES + lane] = v;
-        set(C_FLOPS, f.flops as i64);
-        set(C_GRID, f.grid);
-        set(C_PARALLEL_CHUNKS, f.parallel_chunks);
-        set(C_VTHREADS, f.vthreads);
-        set(C_BLOCK_THREADS, f.block_threads);
-        set(C_THREAD_TILE, f.thread_tile);
-        set(C_REDUCE_OUTER, f.reduce_outer);
-        set(C_VECTOR_LEN, f.vector_len);
-        set(C_SHARED_BYTES_PER_BLOCK, f.shared_bytes_per_block);
-        set(C_THREAD_REG_BYTES, f.thread_reg_bytes);
-        set(C_L1_TILE_BYTES, f.l1_tile_bytes);
-        set(C_L2_TILE_BYTES, f.l2_tile_bytes);
-        set(C_INPUT_BYTES_TOTAL, f.input_bytes_total);
-        set(C_OUTPUT_BYTES, f.output_bytes);
-        set(C_DATA_NODE_BYTES, f.data_node_bytes);
-        set(C_UNROLL, f.unroll as i64);
-        set(C_CONTIGUOUS_INNER, f.contiguous_inner as i64);
-        set(C_CACHE_SHARED, f.cache_shared as i64);
-        match f.fpga.as_ref() {
-            Some(fp) => {
-                set(C_FPGA_PRESENT, 1);
-                set(C_FPGA_PE, fp.pe);
-                set(C_FPGA_ROUNDS, fp.rounds);
-                set(C_FPGA_BUFFER_BYTES, fp.buffer_bytes);
-                set(C_FPGA_STREAM_BYTES, fp.stream_bytes);
-                set(C_FPGA_WRITE_BYTES, fp.write_bytes);
-                set(C_FPGA_PARTITION, fp.partition);
-                set(C_FPGA_PIPELINE, fp.pipeline);
-            }
-            None => {
-                // The chunk block was zero-filled on resize, but a cleared
-                // lane may be overwritten by a later push, so store the
-                // zeros explicitly.
-                for col in C_FPGA_PRESENT..=C_FPGA_PIPELINE {
-                    set(col, 0);
-                }
-            }
-        }
-        self.len += 1;
+        self.rows.push(f.clone());
     }
 
-    /// Borrows chunk `c`'s column block: one bounds check per chunk, after
-    /// which every column and lane read compiles to an unchecked load.
-    fn block(&self, c: usize) -> &[i64; CHUNK_WORDS] {
-        self.data[c * CHUNK_WORDS..(c + 1) * CHUNK_WORDS]
-            .try_into()
-            .expect("chunk block is in the arena")
-    }
-
-    /// The `LANES`-wide lane array of column `col` within a chunk block.
-    fn col(block: &[i64; CHUNK_WORDS], col: usize) -> &[i64; LANES] {
-        block[col * LANES..(col + 1) * LANES]
-            .try_into()
-            .expect("column is within the block")
-    }
-
-    /// One scalar at (row `i`, column `col`).
-    fn at(&self, i: usize, col: usize) -> i64 {
-        self.data[(i / LANES) * CHUNK_WORDS + col * LANES + (i % LANES)]
-    }
-
-    /// Feeds the full chunk `base .. base + LANES` row by row into `sink`.
-    /// The chunk's bounds check is hoisted to one block borrow, so the
-    /// per-lane reads compile to unchecked loads, and each row view is
-    /// built directly at its (inlined) use site instead of round-tripping
-    /// through a stack array.
-    fn cpu_chunk_each(&self, base: usize, mut sink: impl FnMut(CpuRow)) {
-        let b = self.block(base / LANES);
-        let flops = Self::col(b, C_FLOPS);
-        let grid = Self::col(b, C_GRID);
-        let parallel_chunks = Self::col(b, C_PARALLEL_CHUNKS);
-        let thread_tile = Self::col(b, C_THREAD_TILE);
-        let reduce_outer = Self::col(b, C_REDUCE_OUTER);
-        let vector_len = Self::col(b, C_VECTOR_LEN);
-        let shared_bytes_per_block = Self::col(b, C_SHARED_BYTES_PER_BLOCK);
-        let l1_tile_bytes = Self::col(b, C_L1_TILE_BYTES);
-        let l2_tile_bytes = Self::col(b, C_L2_TILE_BYTES);
-        let input_bytes_total = Self::col(b, C_INPUT_BYTES_TOTAL);
-        let output_bytes = Self::col(b, C_OUTPUT_BYTES);
-        let data_node_bytes = Self::col(b, C_DATA_NODE_BYTES);
-        let unroll = Self::col(b, C_UNROLL);
-        let contiguous_inner = Self::col(b, C_CONTIGUOUS_INNER);
-        for j in 0..LANES {
-            sink(CpuRow {
-                flops: flops[j] as u64,
-                grid: grid[j],
-                parallel_chunks: parallel_chunks[j],
-                thread_tile: thread_tile[j],
-                reduce_outer: reduce_outer[j],
-                vector_len: vector_len[j],
-                shared_bytes_per_block: shared_bytes_per_block[j],
-                l1_tile_bytes: l1_tile_bytes[j],
-                l2_tile_bytes: l2_tile_bytes[j],
-                input_bytes_total: input_bytes_total[j],
-                output_bytes: output_bytes[j],
-                data_node_bytes: data_node_bytes[j],
-                unroll: unroll[j] != 0,
-                contiguous_inner: contiguous_inner[j] != 0,
-            });
-        }
-    }
-
-    /// Feeds the full chunk `base .. base + LANES` of GPU row views into
-    /// `sink`; bounds checks hoisted as in [`FeatureBatch::cpu_chunk_each`].
-    fn gpu_chunk_each(&self, base: usize, mut sink: impl FnMut(GpuRow)) {
-        let b = self.block(base / LANES);
-        let flops = Self::col(b, C_FLOPS);
-        let grid = Self::col(b, C_GRID);
-        let block_threads = Self::col(b, C_BLOCK_THREADS);
-        let thread_tile = Self::col(b, C_THREAD_TILE);
-        let vthreads = Self::col(b, C_VTHREADS);
-        let reduce_outer = Self::col(b, C_REDUCE_OUTER);
-        let shared_bytes_per_block = Self::col(b, C_SHARED_BYTES_PER_BLOCK);
-        let thread_reg_bytes = Self::col(b, C_THREAD_REG_BYTES);
-        let input_bytes_total = Self::col(b, C_INPUT_BYTES_TOTAL);
-        let output_bytes = Self::col(b, C_OUTPUT_BYTES);
-        let data_node_bytes = Self::col(b, C_DATA_NODE_BYTES);
-        let unroll = Self::col(b, C_UNROLL);
-        let contiguous_inner = Self::col(b, C_CONTIGUOUS_INNER);
-        let cache_shared = Self::col(b, C_CACHE_SHARED);
-        for j in 0..LANES {
-            sink(GpuRow {
-                flops: flops[j] as u64,
-                grid: grid[j],
-                block_threads: block_threads[j],
-                thread_tile: thread_tile[j],
-                vthreads: vthreads[j],
-                reduce_outer: reduce_outer[j],
-                shared_bytes_per_block: shared_bytes_per_block[j],
-                thread_reg_bytes: thread_reg_bytes[j],
-                input_bytes_total: input_bytes_total[j],
-                output_bytes: output_bytes[j],
-                data_node_bytes: data_node_bytes[j],
-                unroll: unroll[j] != 0,
-                contiguous_inner: contiguous_inner[j] != 0,
-                cache_shared: cache_shared[j] != 0,
-            });
-        }
-    }
-
-    /// Borrows chunk `base / LANES`'s GPU-model columns straight out of
-    /// the arena for the straight-line chunk kernel
-    /// ([`crate::gpu::gpu_time_chunk`]) — no gather, no copy.
-    fn gpu_cols(&self, base: usize) -> GpuCols<'_> {
-        let b = self.block(base / LANES);
-        GpuCols {
-            flops: Self::col(b, C_FLOPS),
-            grid: Self::col(b, C_GRID),
-            block_threads: Self::col(b, C_BLOCK_THREADS),
-            thread_tile: Self::col(b, C_THREAD_TILE),
-            vthreads: Self::col(b, C_VTHREADS),
-            reduce_outer: Self::col(b, C_REDUCE_OUTER),
-            shared_bytes_per_block: Self::col(b, C_SHARED_BYTES_PER_BLOCK),
-            thread_reg_bytes: Self::col(b, C_THREAD_REG_BYTES),
-            input_bytes_total: Self::col(b, C_INPUT_BYTES_TOTAL),
-            output_bytes: Self::col(b, C_OUTPUT_BYTES),
-            data_node_bytes: Self::col(b, C_DATA_NODE_BYTES),
-            unroll: Self::col(b, C_UNROLL),
-            contiguous_inner: Self::col(b, C_CONTIGUOUS_INNER),
-            cache_shared: Self::col(b, C_CACHE_SHARED),
-        }
-    }
-
-    /// Feeds the full chunk `base .. base + LANES` of FPGA row views into
-    /// `sink` (`None` lanes for rows without an FPGA block); bounds checks
-    /// hoisted as in [`FeatureBatch::cpu_chunk_each`].
-    fn fpga_chunk_each(&self, base: usize, mut sink: impl FnMut(Option<FpgaRow>)) {
-        let b = self.block(base / LANES);
-        let fpga_present = Self::col(b, C_FPGA_PRESENT);
-        let flops = Self::col(b, C_FLOPS);
-        let pe = Self::col(b, C_FPGA_PE);
-        let rounds = Self::col(b, C_FPGA_ROUNDS);
-        let buffer_bytes = Self::col(b, C_FPGA_BUFFER_BYTES);
-        let stream_bytes = Self::col(b, C_FPGA_STREAM_BYTES);
-        let write_bytes = Self::col(b, C_FPGA_WRITE_BYTES);
-        let partition = Self::col(b, C_FPGA_PARTITION);
-        let pipeline = Self::col(b, C_FPGA_PIPELINE);
-        for j in 0..LANES {
-            sink((fpga_present[j] != 0).then(|| FpgaRow {
-                flops: flops[j] as u64,
-                pe: pe[j],
-                rounds: rounds[j],
-                buffer_bytes: buffer_bytes[j],
-                stream_bytes: stream_bytes[j],
-                write_bytes: write_bytes[j],
-                partition: partition[j],
-                pipeline: pipeline[j],
-            }));
-        }
-    }
-
-    /// Gathers row `i` into the CPU model's row view.
-    fn cpu_row(&self, i: usize) -> CpuRow {
-        CpuRow {
-            flops: self.at(i, C_FLOPS) as u64,
-            grid: self.at(i, C_GRID),
-            parallel_chunks: self.at(i, C_PARALLEL_CHUNKS),
-            thread_tile: self.at(i, C_THREAD_TILE),
-            reduce_outer: self.at(i, C_REDUCE_OUTER),
-            vector_len: self.at(i, C_VECTOR_LEN),
-            shared_bytes_per_block: self.at(i, C_SHARED_BYTES_PER_BLOCK),
-            l1_tile_bytes: self.at(i, C_L1_TILE_BYTES),
-            l2_tile_bytes: self.at(i, C_L2_TILE_BYTES),
-            input_bytes_total: self.at(i, C_INPUT_BYTES_TOTAL),
-            output_bytes: self.at(i, C_OUTPUT_BYTES),
-            data_node_bytes: self.at(i, C_DATA_NODE_BYTES),
-            unroll: self.at(i, C_UNROLL) != 0,
-            contiguous_inner: self.at(i, C_CONTIGUOUS_INNER) != 0,
-        }
-    }
-
-    /// Gathers row `i` into the GPU model's row view.
-    fn gpu_row(&self, i: usize) -> GpuRow {
-        GpuRow {
-            flops: self.at(i, C_FLOPS) as u64,
-            grid: self.at(i, C_GRID),
-            block_threads: self.at(i, C_BLOCK_THREADS),
-            thread_tile: self.at(i, C_THREAD_TILE),
-            vthreads: self.at(i, C_VTHREADS),
-            reduce_outer: self.at(i, C_REDUCE_OUTER),
-            shared_bytes_per_block: self.at(i, C_SHARED_BYTES_PER_BLOCK),
-            thread_reg_bytes: self.at(i, C_THREAD_REG_BYTES),
-            input_bytes_total: self.at(i, C_INPUT_BYTES_TOTAL),
-            output_bytes: self.at(i, C_OUTPUT_BYTES),
-            data_node_bytes: self.at(i, C_DATA_NODE_BYTES),
-            unroll: self.at(i, C_UNROLL) != 0,
-            contiguous_inner: self.at(i, C_CONTIGUOUS_INNER) != 0,
-            cache_shared: self.at(i, C_CACHE_SHARED) != 0,
-        }
-    }
-
-    /// Gathers row `i` into the FPGA model's row view; `None` when the row
-    /// was pushed from features without an FPGA block.
-    fn fpga_row(&self, i: usize) -> Option<FpgaRow> {
-        if self.at(i, C_FPGA_PRESENT) == 0 {
-            return None;
-        }
-        Some(FpgaRow {
-            flops: self.at(i, C_FLOPS) as u64,
-            pe: self.at(i, C_FPGA_PE),
-            rounds: self.at(i, C_FPGA_ROUNDS),
-            buffer_bytes: self.at(i, C_FPGA_BUFFER_BYTES),
-            stream_bytes: self.at(i, C_FPGA_STREAM_BYTES),
-            write_bytes: self.at(i, C_FPGA_WRITE_BYTES),
-            partition: self.at(i, C_FPGA_PARTITION),
-            pipeline: self.at(i, C_FPGA_PIPELINE),
-        })
-    }
-}
-
-/// Scores the whole batch with the CPU model, appending one result per row
-/// to `out` (cleared first). Bit-identical to mapping
-/// [`crate::cpu::cpu_time`] over the rows.
-pub fn cpu_time_batch(
-    spec: &CpuSpec,
-    batch: &FeatureBatch,
-    code_quality: f64,
-    out: &mut Vec<Option<f64>>,
-) {
-    let n = batch.len();
-    out.clear();
-    out.reserve(n);
-    let mut base = 0;
-    // Full chunks: gather LANES rows from the columns (one hoisted bounds
-    // check per column), then score them.
-    while base + LANES <= n {
-        batch.cpu_chunk_each(base, |row| {
-            out.push(Some(cpu_time_row(spec, row, code_quality)));
-        });
-        base += LANES;
-    }
-    // Ragged tail, in row order.
-    for i in base..n {
-        out.push(Some(cpu_time_row(spec, batch.cpu_row(i), code_quality)));
-    }
-}
-
-/// Scores the whole batch with the GPU model, appending one result per row
-/// to `out` (cleared first; `None` marks infeasible rows). Bit-identical
-/// to mapping [`crate::gpu::gpu_time`] over the rows.
-pub fn gpu_time_batch(
-    spec: &GpuSpec,
-    batch: &FeatureBatch,
-    code_quality: f64,
-    out: &mut Vec<Option<f64>>,
-) {
-    let n = batch.len();
-    out.clear();
-    out.reserve(n);
-    let mut base = 0;
-    if n >= TABLE_MIN_ROWS {
-        // Large batch: memoize the model's bounded-domain divisions once
-        // (see [`GpuTables`]) and answer them by lookup per row —
-        // bit-identical results, but the batch skips the divider for the
-        // occupancy arithmetic.
-        let tables = GpuTables::new(spec);
-        while base + LANES <= n {
-            gpu_time_chunk(spec, &batch.gpu_cols(base), code_quality, &tables, out);
-            base += LANES;
-        }
-        for i in base..n {
-            out.push(gpu_time_row_tabled(
-                spec,
-                batch.gpu_row(i),
-                code_quality,
-                &tables,
-            ));
-        }
-        return;
-    }
-    while base + LANES <= n {
-        batch.gpu_chunk_each(base, |row| {
-            out.push(gpu_time_row(spec, row, code_quality));
-        });
-        base += LANES;
-    }
-    for i in base..n {
-        out.push(gpu_time_row(spec, batch.gpu_row(i), code_quality));
-    }
-}
-
-/// Scores the whole batch with the FPGA model, appending one result per
-/// row to `out` (cleared first; `None` marks rows that do not fit or carry
-/// no FPGA block). Bit-identical to mapping [`crate::fpga::fpga_time`]
-/// over the rows.
-pub fn fpga_time_batch(
-    spec: &FpgaSpec,
-    batch: &FeatureBatch,
-    code_quality: f64,
-    out: &mut Vec<Option<f64>>,
-) {
-    let n = batch.len();
-    out.clear();
-    out.reserve(n);
-    let mut base = 0;
-    while base + LANES <= n {
-        batch.fpga_chunk_each(base, |row| {
-            out.push(row.and_then(|fp| fpga_time_row(spec, fp, code_quality)));
-        });
-        base += LANES;
-    }
-    for i in base..n {
-        out.push(
-            batch
-                .fpga_row(i)
-                .and_then(|fp| fpga_time_row(spec, fp, code_quality)),
-        );
+    /// The rows, in push order.
+    pub(crate) fn rows(&self) -> &[KernelFeatures] {
+        &self.rows
     }
 }
 
@@ -498,92 +60,50 @@ pub fn fpga_time_batch(
 mod tests {
     use super::*;
     use crate::model::Evaluator;
-    use crate::spec::{v100, vu9p, xeon_e5_2699_v4, Device};
+    use crate::spec::{v100, vu9p, Device};
     use flextensor_ir::ops;
-    use flextensor_schedule::config::NodeConfig;
+    use flextensor_schedule::config::{NodeConfig, TargetKind};
     use flextensor_schedule::lower::lower;
 
-    fn sample_features(dev: &Device, count: usize) -> Vec<KernelFeatures> {
+    fn gemm_features(target: TargetKind) -> KernelFeatures {
         let g = ops::gemm(256, 256, 256);
-        let splits: [(Vec<i64>, Vec<i64>, Vec<i64>); 4] = [
-            (vec![8, 1, 16, 2], vec![8, 1, 16, 2], vec![64, 2, 2]),
-            (vec![16, 1, 16, 1], vec![16, 1, 16, 1], vec![128, 2, 1]),
-            (vec![4, 2, 8, 4], vec![4, 2, 8, 4], vec![32, 4, 2]),
-            (vec![1, 1, 256, 1], vec![256, 1, 1, 1], vec![256, 1, 1]),
-        ];
-        (0..count)
-            .map(|i| {
-                let (s0, s1, r) = splits[i % splits.len()].clone();
-                let mut c = NodeConfig::naive(g.root_op());
-                c.spatial_splits = vec![s0, s1];
-                c.reduce_splits = vec![r];
-                c.cache_shared = i % 2 == 0;
-                c.unroll = i % 3 == 0;
-                lower(&g, &c, dev.target()).unwrap().features
-            })
-            .collect()
+        let mut c = NodeConfig::naive(g.root_op());
+        c.spatial_splits = vec![vec![8, 1, 16, 2], vec![8, 1, 16, 2]];
+        c.reduce_splits = vec![vec![64, 2, 2]];
+        c.cache_shared = true;
+        lower(&g, &c, target).unwrap().features
     }
 
     #[test]
-    fn batch_matches_scalar_on_all_devices_and_ragged_sizes() {
-        for dev in [
-            Device::Gpu(v100()),
-            Device::Cpu(xeon_e5_2699_v4()),
-            Device::Fpga(vu9p()),
-        ] {
-            let ev = Evaluator::new(dev.clone());
-            // Sizes straddle both the LANES chunking and the
-            // TABLE_MIN_ROWS divider-memoization threshold.
-            for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 33, 63, 64, 65, 100] {
-                let feats = sample_features(&dev, n);
-                let mut batch = FeatureBatch::new();
-                for f in &feats {
-                    batch.push(f);
-                }
-                let mut out = Vec::new();
-                ev.time_features_batch(&batch, &mut out);
-                assert_eq!(out.len(), n);
-                for (i, f) in feats.iter().enumerate() {
-                    let scalar = ev.time_features(f);
-                    assert_eq!(
-                        out[i].map(f64::to_bits),
-                        scalar.map(f64::to_bits),
-                        "row {i} of {n} on {}",
-                        dev.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_resets_len() {
-        let dev = Device::Gpu(v100());
-        let feats = sample_features(&dev, 9);
+    fn clear_resets_len() {
+        let f = gemm_features(TargetKind::Gpu);
         let mut batch = FeatureBatch::new();
-        for f in &feats {
-            batch.push(f);
+        for _ in 0..9 {
+            batch.push(&f);
         }
         assert_eq!(batch.len(), 9);
         batch.clear();
         assert!(batch.is_empty());
-        assert!(batch.data.capacity() >= 2 * CHUNK_WORDS);
-        batch.push(&feats[0]);
+        batch.push(&f);
         assert_eq!(batch.len(), 1);
+        assert_eq!(batch.rows()[0], f);
     }
 
     #[test]
     fn non_fpga_rows_score_none_on_fpga() {
-        // Features lowered for GPU carry no FPGA block; the FPGA batch
-        // kernel must mirror the scalar path's None.
-        let feats = sample_features(&Device::Gpu(v100()), 3);
+        // Features lowered for GPU carry no FPGA block; the FPGA model
+        // scores them `None`, in a batch as one at a time.
+        let f = gemm_features(TargetKind::Gpu);
         let mut batch = FeatureBatch::new();
-        for f in &feats {
-            batch.push(f);
+        for _ in 0..3 {
+            batch.push(&f);
         }
         let ev = Evaluator::new(Device::Fpga(vu9p()));
-        let mut out = Vec::new();
+        let mut out = vec![Some(1.0)];
         ev.time_features_batch(&batch, &mut out);
         assert_eq!(out, vec![None, None, None]);
+        let gpu = Evaluator::new(Device::Gpu(v100()));
+        gpu.time_features_batch(&batch, &mut out);
+        assert_eq!(out, vec![gpu.time_features(&f); 3]);
     }
 }

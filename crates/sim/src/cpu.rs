@@ -12,12 +12,26 @@ use flextensor_schedule::features::KernelFeatures;
 
 use crate::spec::CpuSpec;
 
+/// Estimates kernel time in seconds; `None` when the configuration is
+/// infeasible (never on CPU — everything runs, just possibly slowly — so
+/// this returns `Some` for all valid features; the `Option` keeps the
+/// interface uniform across targets).
+///
+/// Runs the generic model body at `S = f64`
+/// ([`crate::generic::cpu_time_generic`]). The differential tests in
+/// `crate::generic` pin it bit for bit to the plain-`f64` reference
+/// `cpu_time_row` below, which exists only in test builds.
+pub fn cpu_time(spec: &CpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
+    Some(crate::generic::cpu_time_generic::<f64>(
+        spec,
+        &crate::generic::CpuIn::of(f),
+        code_quality,
+    ))
+}
+
 /// The exact subset of [`KernelFeatures`] the CPU model reads, flattened
-/// into one `Copy` row. The scalar entry point builds one row per call;
-/// [`crate::batch::FeatureBatch`] stores the same columns
-/// structure-of-arrays and feeds them through the identical
-/// [`cpu_time_row`] arithmetic, which is what makes the batched path
-/// bit-identical to the scalar one by construction.
+/// into one `Copy` row: the input of the [`cpu_time_row`] test oracle.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CpuRow {
     pub flops: u64,
@@ -36,11 +50,8 @@ pub(crate) struct CpuRow {
     pub contiguous_inner: bool,
 }
 
+#[cfg(test)]
 impl CpuRow {
-    // The scalar entry point now routes through the generic body; row
-    // construction from features remains as the reference side of the
-    // generic-vs-row differential tests.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn of(f: &KernelFeatures) -> CpuRow {
         CpuRow {
             flops: f.flops,
@@ -61,25 +72,9 @@ impl CpuRow {
     }
 }
 
-/// Estimates kernel time in seconds; `None` when the configuration is
-/// infeasible (never on CPU — everything runs, just possibly slowly — so
-/// this returns `Some` for all valid features; the `Option` keeps the
-/// interface uniform across targets).
-///
-/// Routes through the generic model body at `S = f64`
-/// ([`crate::generic::cpu_time_generic`]), bit-identical to
-/// `cpu_time_row` (pinned by the differential tests in
-/// `crate::generic`); the batched path keeps the concrete row kernel.
-pub fn cpu_time(spec: &CpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
-    Some(crate::generic::cpu_time_generic::<f64>(
-        spec,
-        &crate::generic::CpuIn::of(f),
-        code_quality,
-    ))
-}
-
-/// The CPU model arithmetic over one feature row — the single
-/// implementation shared by the scalar and batched entry points.
+/// The CPU model written directly in `f64` and `i64`: the reference the
+/// generic body is tested against.
+#[cfg(test)]
 pub(crate) fn cpu_time_row(spec: &CpuSpec, f: CpuRow, code_quality: f64) -> f64 {
     // ---- threading ----------------------------------------------------
     let chunks = f.parallel_chunks.max(1);

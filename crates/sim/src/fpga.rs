@@ -15,15 +15,31 @@
 //! the paper says FlexTensor "solv\[es\] an optimization problem under
 //! certain FPGA resource constraints".
 
-use flextensor_schedule::features::{FpgaFeatures, KernelFeatures};
+use flextensor_schedule::features::KernelFeatures;
 
 use crate::spec::FpgaSpec;
 
+/// Estimates execution time in seconds; `None` when the design does not
+/// fit (PE count exceeds the DSP budget, or buffers exceed BRAM) or the
+/// features carry no FPGA block (kernel was lowered for another target).
+///
+/// Runs the generic model body at `S = f64`
+/// ([`crate::generic::fpga_time_generic`]). The differential tests in
+/// `crate::generic` pin it bit for bit to the plain-`f64` reference
+/// `fpga_time_row` below, which exists only in test builds.
+pub fn fpga_time(spec: &FpgaSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
+    let fp = f.fpga.as_ref()?;
+    crate::generic::fpga_time_generic::<f64>(
+        spec,
+        &crate::generic::FpgaIn::of(f.flops, fp),
+        code_quality,
+    )
+}
+
 /// The exact inputs of the FPGA pipeline model, flattened into one `Copy`
-/// row: the [`FpgaFeatures`] block plus the workload FLOPs. Both the
-/// scalar entry point and the batched [`crate::batch::FeatureBatch`] path
-/// score rows through the same [`fpga_time_row`] arithmetic, making them
-/// bit-identical by construction.
+/// row: the `FpgaFeatures` block plus the workload FLOPs, as the input
+/// of the [`fpga_time_row`] test oracle.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FpgaRow {
     pub flops: u64,
@@ -36,12 +52,9 @@ pub(crate) struct FpgaRow {
     pub pipeline: i64,
 }
 
+#[cfg(test)]
 impl FpgaRow {
-    // The scalar entry point now routes through the generic body; row
-    // construction from features remains as the reference side of the
-    // generic-vs-row differential tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn of(flops: u64, fp: &FpgaFeatures) -> FpgaRow {
+    pub(crate) fn of(flops: u64, fp: &flextensor_schedule::features::FpgaFeatures) -> FpgaRow {
         FpgaRow {
             flops,
             pe: fp.pe,
@@ -55,25 +68,9 @@ impl FpgaRow {
     }
 }
 
-/// Estimates execution time in seconds; `None` when the design does not
-/// fit (PE count exceeds the DSP budget, or buffers exceed BRAM) or the
-/// features carry no FPGA block (kernel was lowered for another target).
-///
-/// Routes through the generic model body at `S = f64`
-/// ([`crate::generic::fpga_time_generic`]), bit-identical to
-/// `fpga_time_row` (pinned by the differential tests in
-/// `crate::generic`); the batched path keeps the concrete row kernel.
-pub fn fpga_time(spec: &FpgaSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
-    let fp = f.fpga.as_ref()?;
-    crate::generic::fpga_time_generic::<f64>(
-        spec,
-        &crate::generic::FpgaIn::of(f.flops, fp),
-        code_quality,
-    )
-}
-
-/// The FPGA model arithmetic over one feature row — the single
-/// implementation shared by the scalar and batched entry points.
+/// The FPGA model written directly in `f64` and `i64`: the reference the
+/// generic body is tested against.
+#[cfg(test)]
 pub(crate) fn fpga_time_row(spec: &FpgaSpec, fp: FpgaRow, code_quality: f64) -> Option<f64> {
     if fp.pe > spec.max_pe() {
         return None; // not enough DSPs

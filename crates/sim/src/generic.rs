@@ -1,14 +1,14 @@
 //! The device cost models, written once over the abstract [`Scalar`]
 //! domain.
 //!
-//! Each body below mirrors its concrete counterpart
+//! These bodies are the models: the public entry points
 //! ([`crate::gpu::gpu_time`], [`crate::cpu::cpu_time`],
-//! [`crate::fpga::fpga_time`]) operation for operation, in the same
-//! order and association. Instantiated at `S = f64` every trait method
-//! performs exactly the IEEE-754 operation the concrete model performs,
-//! so the generic path is **bit-identical** to the hand-written one —
-//! pinned by the differential tests in this module, and relied on by the
-//! public scalar entry points, which now route through these bodies.
+//! [`crate::fpga::fpga_time`]) run them at `S = f64`. Instantiated there,
+//! every trait method performs exactly one IEEE-754 operation, in the
+//! order and association of a plain-`f64` transcription of each model
+//! (`gpu_time_row`, `cpu_time_row`, `fpga_time_row`, compiled only in test
+//! builds). The differential tests in this module pin the two bit for bit,
+//! on lowered feature rows and on hand-built edge rows.
 //!
 //! Instantiated at `S =` [`Interval`] the same bodies compute a sound
 //! enclosure of every concrete result reachable from member inputs
@@ -686,6 +686,149 @@ mod tests {
         }
     }
 
+    /// Every row of `rows` combined with every value of `values`, set by
+    /// `set`: builds a cross product of edge cases one field at a time.
+    fn vary<R: Copy, V: Copy>(rows: Vec<R>, values: &[V], set: impl Fn(&mut R, V)) -> Vec<R> {
+        rows.iter()
+            .flat_map(|r| {
+                values.iter().map(|&v| {
+                    let mut r = *r;
+                    set(&mut r, v);
+                    r
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generic_f64_cpu_survives_adversarial_rows() {
+        // Direct row construction over the CPU model's edges: no, one and
+        // one-too-many parallel chunks; vector lengths that are zero, one,
+        // ragged and a multiple of the width; zero flops; tiles past L1,
+        // L2, the per-core L3 share and the whole L3; materialized
+        // producers; short unrolled and not-unrolled inner loops.
+        let spec = xeon_e5_2699_v4();
+        let base = CpuRow {
+            flops: 0,
+            grid: 1,
+            parallel_chunks: 1,
+            thread_tile: 1,
+            reduce_outer: 1,
+            vector_len: 1,
+            shared_bytes_per_block: 0,
+            l1_tile_bytes: 0,
+            l2_tile_bytes: 0,
+            input_bytes_total: 0,
+            output_bytes: 4,
+            data_node_bytes: 0,
+            unroll: false,
+            contiguous_inner: false,
+        };
+        // (grid, reduce_outer, shared, l1 tile, l2 tile, input bytes):
+        // all in cache, past L1 only, and past every cache level.
+        let l2 = spec.l2_bytes;
+        let tiles = [
+            (1, 1, 0, 0, 0, 0),
+            (8, 3, l2, l2, l2 + 1, 1 << 20),
+            (
+                64,
+                8,
+                l2 + 1,
+                l2 + 1,
+                spec.l3_bytes / spec.cores + 1,
+                spec.l3_bytes + 1,
+            ),
+        ];
+        let mut rows = vec![base];
+        rows = vary(rows, &[0, 1, spec.cores + 1], |r, v| r.parallel_chunks = v);
+        rows = vary(rows, &[0, 1, 3, 64], |r, v| r.vector_len = v);
+        rows = vary(rows, &[false, true], |r, v| r.contiguous_inner = v);
+        rows = vary(rows, &[0, 12345, 1 << 33], |r, v| r.flops = v);
+        rows = vary(rows, &tiles, |r, (g, ro, sh, t1, t2, inp)| {
+            (r.grid, r.reduce_outer, r.shared_bytes_per_block) = (g, ro, sh);
+            (r.l1_tile_bytes, r.l2_tile_bytes, r.input_bytes_total) = (t1, t2, inp);
+        });
+        rows = vary(rows, &[0, 1_000_000], |r, v| r.data_node_bytes = v);
+        rows = vary(
+            rows,
+            &[(1, false), (3, false), (3, true), (8, false)],
+            |r, (tt, u)| {
+                (r.thread_tile, r.unroll) = (tt, u);
+            },
+        );
+        assert_eq!(rows.len(), 3 * 4 * 2 * 3 * 3 * 2 * 4);
+        for r in rows {
+            let concrete = crate::cpu::cpu_time_row(&spec, r, 0.75);
+            let f = CpuIn {
+                flops: r.flops as i64 as f64,
+                grid: r.grid as f64,
+                parallel_chunks: r.parallel_chunks as f64,
+                thread_tile: r.thread_tile as f64,
+                reduce_outer: r.reduce_outer as f64,
+                vector_len: r.vector_len as f64,
+                shared_bytes_per_block: r.shared_bytes_per_block as f64,
+                l1_tile_bytes: r.l1_tile_bytes as f64,
+                l2_tile_bytes: r.l2_tile_bytes as f64,
+                input_bytes_total: r.input_bytes_total as f64,
+                output_bytes: r.output_bytes as f64,
+                data_node_bytes: r.data_node_bytes as f64,
+                unroll: r.unroll,
+                contiguous_inner: r.contiguous_inner,
+            };
+            let generic = cpu_time_generic::<f64>(&spec, &f, 0.75);
+            assert_eq!(concrete.to_bits(), generic.to_bits(), "diverged on {r:?}");
+        }
+    }
+
+    #[test]
+    fn generic_f64_fpga_survives_adversarial_rows() {
+        // Direct row construction over the FPGA model's edges: PE counts up
+        // to and past the DSP budget, zero rounds, buffers that fit BRAM
+        // only unpipelined or not at all, zero flops and stream bytes, and
+        // every partition / pipeline value the search space produces.
+        let spec = vu9p();
+        let mut rows = vec![FpgaRow::default()];
+        rows = vary(rows, &[1, 64, spec.max_pe(), spec.max_pe() + 1], |r, v| {
+            r.pe = v
+        });
+        rows = vary(rows, &[0, 1, 7], |r, v| r.rounds = v);
+        let bram = spec.bram_bytes;
+        rows = vary(rows, &[0, bram / 2 + 1, bram + 1], |r, v| {
+            r.buffer_bytes = v
+        });
+        rows = vary(rows, &[0, 4096], |r, v| r.write_bytes = v);
+        rows = vary(rows, &[0, 1, 1 << 33], |r, v| r.flops = v);
+        rows = vary(rows, &[0, 1 << 20], |r, v| r.stream_bytes = v);
+        rows = vary(rows, &[1, 2, 4, 8, 16], |r, v| r.partition = v);
+        rows = vary(rows, &[1, 2, 3], |r, v| r.pipeline = v);
+        assert_eq!(rows.len(), 4 * 3 * 3 * 2 * 3 * 2 * 5 * 3);
+        let mut infeasible = 0;
+        for r in &rows {
+            let concrete = crate::fpga::fpga_time_row(&spec, *r, 0.85);
+            let f = FpgaIn {
+                flops: r.flops as i64 as f64,
+                pe: r.pe as f64,
+                rounds: r.rounds as f64,
+                buffer_bytes: r.buffer_bytes as f64,
+                stream_bytes: r.stream_bytes as f64,
+                write_bytes: r.write_bytes as f64,
+                partition: r.partition,
+                pipeline: r.pipeline,
+            };
+            let generic = fpga_time_generic::<f64>(&spec, &f, 0.85);
+            assert_eq!(
+                concrete.map(f64::to_bits),
+                generic.map(f64::to_bits),
+                "diverged on {r:?}"
+            );
+            infeasible += usize::from(concrete.is_none());
+        }
+        assert!(
+            infeasible > 0 && infeasible < rows.len(),
+            "both verdicts exercised"
+        );
+    }
+
     #[test]
     fn interval_evaluation_encloses_member_rows() {
         // Corner rows plus interpolated members must land inside the
@@ -740,54 +883,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dual_path_runs_the_models_and_matches_values() {
-        // The Dual stub must follow exactly the f64 branches: values agree
-        // bit for bit, and the gradient seed survives the smooth stages.
-        let spec = v100();
-        for f in sample_features(TargetKind::Gpu) {
-            let concrete = crate::gpu::gpu_time(&spec, &f, 0.75);
-            let mut d = GpuIn::<crate::scalar::Dual>::of(&f);
-            d.flops = crate::scalar::Dual::variable(f.flops as i64 as f64);
-            let dual = gpu_time_generic(&spec, &d, 0.75);
-            assert_eq!(
-                concrete.map(f64::to_bits),
-                dual.map(|x| x.val.to_bits()),
-                "dual value diverged on {f:?}"
-            );
-            if f.flops > 0 {
-                if let Some(dv) = dual {
-                    assert!(dv.grad >= 0.0, "cost must not decrease in flops");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unused_concrete_row_helpers_stay_wired() {
-        // The concrete row paths remain the batch-path reference; keep
-        // them exercised from this module so the differential direction
-        // (generic vs. row) is explicit.
-        let spec = v100();
-        let f = sample_features(TargetKind::Gpu).remove(1);
-        assert_eq!(
-            crate::gpu::gpu_time_row(&spec, GpuRow::of(&f), 0.75).map(f64::to_bits),
-            crate::gpu::gpu_time(&spec, &f, 0.75).map(f64::to_bits),
-        );
-        let cf = sample_features(TargetKind::Cpu).remove(1);
-        let cspec = xeon_e5_2699_v4();
-        assert_eq!(
-            crate::cpu::cpu_time_row(&cspec, CpuRow::of(&cf), 0.75).to_bits(),
-            crate::cpu::cpu_time(&cspec, &cf, 0.75).unwrap().to_bits(),
-        );
-        let ff = sample_features(TargetKind::Fpga).remove(4);
-        let fp = ff.fpga.as_ref().unwrap();
-        let fspec = vu9p();
-        assert_eq!(
-            crate::fpga::fpga_time_row(&fspec, FpgaRow::of(ff.flops, fp), 0.85).map(f64::to_bits),
-            crate::fpga::fpga_time(&fspec, &ff, 0.85).map(f64::to_bits),
-        );
     }
 }

@@ -20,7 +20,6 @@
 
 use flextensor_schedule::features::KernelFeatures;
 
-use crate::batch::LANES;
 use crate::spec::GpuSpec;
 
 /// Relative multiplier applied to uncached (no shared memory) global
@@ -28,10 +27,24 @@ use crate::spec::GpuSpec;
 /// through L1/L2 with imperfect reuse.
 pub(crate) const UNCACHED_TRAFFIC_PENALTY: f64 = 2.0;
 
+/// Estimates kernel time in seconds; `None` when the configuration is
+/// infeasible on this device (too many threads per block, shared-memory or
+/// register demand unsatisfiable).
+///
+/// `code_quality` scales achievable compute throughput: ~0.75 for generated
+/// code, higher for hand-tuned vendor kernels.
+///
+/// Runs the generic model body at `S = f64`
+/// ([`crate::generic::gpu_time_generic`]). The differential tests in
+/// `crate::generic` pin it bit for bit to the plain-`f64` reference
+/// `gpu_time_row` below, which exists only in test builds.
+pub fn gpu_time(spec: &GpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
+    crate::generic::gpu_time_generic::<f64>(spec, &crate::generic::GpuIn::of(f), code_quality)
+}
+
 /// The exact subset of [`KernelFeatures`] the GPU model reads, flattened
-/// into one `Copy` row. Both the scalar entry point and the batched
-/// [`crate::batch::FeatureBatch`] path score rows through the same
-/// [`gpu_time_row`] arithmetic, making them bit-identical by construction.
+/// into one `Copy` row: the input of the [`gpu_time_row`] test oracle.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct GpuRow {
     pub flops: u64,
@@ -50,11 +63,8 @@ pub(crate) struct GpuRow {
     pub cache_shared: bool,
 }
 
+#[cfg(test)]
 impl GpuRow {
-    // The scalar entry point now routes through the generic body; row
-    // construction from features remains as the reference side of the
-    // generic-vs-row differential tests.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn of(f: &KernelFeatures) -> GpuRow {
         GpuRow {
             flops: f.flops,
@@ -75,258 +85,10 @@ impl GpuRow {
     }
 }
 
-/// Estimates kernel time in seconds; `None` when the configuration is
-/// infeasible on this device (too many threads per block, shared-memory or
-/// register demand unsatisfiable).
-///
-/// `code_quality` scales achievable compute throughput: ~0.75 for generated
-/// code, higher for hand-tuned vendor kernels.
-///
-/// Routes through the generic model body at `S = f64`
-/// ([`crate::generic::gpu_time_generic`]), which is bit-identical to
-/// `gpu_time_row` — the differential tests in `crate::generic` pin the
-/// equivalence, and the batched path keeps scoring through the concrete
-/// row kernels.
-pub fn gpu_time(spec: &GpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
-    crate::generic::gpu_time_generic::<f64>(spec, &crate::generic::GpuIn::of(f), code_quality)
-}
-
-/// The GPU model arithmetic over one feature row — the single
-/// implementation shared by the scalar and batched entry points.
+/// The GPU model written directly in `f64` and `i64`: the reference the
+/// generic body is tested against.
+#[cfg(test)]
 pub(crate) fn gpu_time_row(spec: &GpuSpec, f: GpuRow, code_quality: f64) -> Option<f64> {
-    gpu_time_row_impl(
-        spec,
-        f,
-        code_quality,
-        |w| spec.max_warps_per_sm / w,
-        |p| p as f64 / spec.max_warps_per_sm as f64,
-    )
-}
-
-/// Per-batch memo tables for the GPU model's two divisions over *bounded*
-/// integer domains. `blocks_by_warps[w]` stores `max_warps_per_sm / w`
-/// for every reachable warps-per-block count (`w ∈ 1..=⌈max_tpb/32⌉`),
-/// and `occupancy[p]` stores `p as f64 / max_warps_per_sm as f64` for
-/// every reachable resident-warp product (`p ≤ max_warps_per_sm`, since
-/// `blocks_per_sm ≤ ⌊max_warps/warps_pb⌋`). Each entry memoizes the exact
-/// division result — the quotient itself, never a reciprocal — so a
-/// lookup is bit-identical to the scalar path's division by construction.
-pub(crate) struct GpuTables {
-    blocks_by_warps: Vec<i64>,
-    occupancy: Vec<f64>,
-}
-
-impl GpuTables {
-    pub(crate) fn new(spec: &GpuSpec) -> GpuTables {
-        let warps_max = (spec.max_threads_per_block + 31) / 32;
-        GpuTables {
-            blocks_by_warps: (0..=warps_max)
-                .map(|w| if w == 0 { 0 } else { spec.max_warps_per_sm / w })
-                .collect(),
-            occupancy: (0..=spec.max_warps_per_sm)
-                .map(|p| p as f64 / spec.max_warps_per_sm as f64)
-                .collect(),
-        }
-    }
-}
-
-/// [`gpu_time_row`] with the bounded-domain divisions answered from `t`
-/// instead of the divider — the batched kernels use this once the batch
-/// is large enough to amortize building the tables.
-pub(crate) fn gpu_time_row_tabled(
-    spec: &GpuSpec,
-    f: GpuRow,
-    code_quality: f64,
-    t: &GpuTables,
-) -> Option<f64> {
-    gpu_time_row_impl(
-        spec,
-        f,
-        code_quality,
-        |w| t.blocks_by_warps[w as usize],
-        |p| t.occupancy[p as usize],
-    )
-}
-
-/// One chunk of [`LANES`] GPU feature rows viewed column-wise — borrowed
-/// straight out of the [`crate::batch::FeatureBatch`] arena, flag columns
-/// as 0/1 words and `flops` as the `u64` value's `i64` bits.
-pub(crate) struct GpuCols<'a> {
-    pub flops: &'a [i64; LANES],
-    pub grid: &'a [i64; LANES],
-    pub block_threads: &'a [i64; LANES],
-    pub thread_tile: &'a [i64; LANES],
-    pub vthreads: &'a [i64; LANES],
-    pub reduce_outer: &'a [i64; LANES],
-    pub shared_bytes_per_block: &'a [i64; LANES],
-    pub thread_reg_bytes: &'a [i64; LANES],
-    pub input_bytes_total: &'a [i64; LANES],
-    pub output_bytes: &'a [i64; LANES],
-    pub data_node_bytes: &'a [i64; LANES],
-    pub unroll: &'a [i64; LANES],
-    pub contiguous_inner: &'a [i64; LANES],
-    pub cache_shared: &'a [i64; LANES],
-}
-
-/// Scores a full chunk of [`LANES`] rows in straight-line, select-based
-/// code so the floating-point stages auto-vectorize. This is where the
-/// batched GPU path earns its speedup: the model is divider-bound, and a
-/// packed `f64` division retires [`LANES`]/2–[`LANES`]/4 lanes per
-/// instruction where the scalar path issues one `divsd` at a time.
-///
-/// Bit-identity with [`gpu_time_row`] holds lane by lane: every
-/// floating-point operation is the same IEEE-754 operation in the same
-/// order as the scalar body (vectorization packs lanes, it never
-/// reassociates within one), the bounded-domain divisions are answered
-/// from the same exact-quotient [`GpuTables`], and the remaining integer
-/// divisions run scalar per lane. Infeasible lanes get safe dummy inputs
-/// (`tpb = 1`, `shared_pb = 0`, `blocks_per_sm = 1`) so the straight-line
-/// arithmetic cannot fault, and are masked back to `None` at the end —
-/// their dummy results are never observable.
-pub(crate) fn gpu_time_chunk(
-    spec: &GpuSpec,
-    c: &GpuCols<'_>,
-    code_quality: f64,
-    t: &GpuTables,
-    out: &mut Vec<Option<f64>>,
-) {
-    // ---- feasibility + dummy substitution ---------------------------
-    let mut valid = [false; LANES];
-    let mut tpb = [1i64; LANES];
-    let mut shared_pb = [0i64; LANES];
-    for j in 0..LANES {
-        let raw_tpb = c.block_threads[j];
-        let sp = if c.cache_shared[j] != 0 {
-            c.shared_bytes_per_block[j]
-        } else {
-            0
-        };
-        let ok =
-            raw_tpb >= 1 && raw_tpb <= spec.max_threads_per_block && sp <= spec.shared_per_block;
-        valid[j] = ok;
-        if ok {
-            tpb[j] = raw_tpb;
-            shared_pb[j] = sp;
-        }
-    }
-
-    // ---- occupancy (integer stage, scalar per lane) ------------------
-    let mut warps_pb = [0i64; LANES];
-    for j in 0..LANES {
-        warps_pb[j] = (tpb[j] + 31) / 32;
-    }
-    let mut blocks_per_sm = [1i64; LANES];
-    for j in 0..LANES {
-        let blocks_by_warps = t.blocks_by_warps[warps_pb[j] as usize];
-        let blocks_by_shared = if shared_pb[j] > 0 {
-            spec.shared_per_sm / shared_pb[j]
-        } else {
-            spec.max_blocks_per_sm
-        };
-        let reg_bytes_pt = c.thread_reg_bytes[j].max(128);
-        let blocks_by_regs = spec.regfile_per_sm / (reg_bytes_pt * tpb[j]).max(1);
-        let b = blocks_by_warps
-            .min(blocks_by_shared)
-            .min(blocks_by_regs)
-            .min(spec.max_blocks_per_sm);
-        let ok = valid[j] && b >= 1;
-        valid[j] = ok;
-        blocks_per_sm[j] = if ok { b } else { 1 };
-    }
-    let mut occupancy = [0f64; LANES];
-    for j in 0..LANES {
-        // Valid lanes index within the table by the occupancy bound; the
-        // clamp only ever bites on dummy lanes, which are masked anyway.
-        let idx = (blocks_per_sm[j] * warps_pb[j]) as usize;
-        occupancy[j] = t.occupancy[idx.min(t.occupancy.len() - 1)];
-    }
-
-    // ---- compute efficiency (vectorizable f64 stage) -----------------
-    // `eff` is a left-associated product; it is built up in the same
-    // order as the scalar body, split across stages only at product
-    // boundaries.
-    let mut eff_part = [0f64; LANES];
-    for j in 0..LANES {
-        let warp_eff = tpb[j] as f64 / (warps_pb[j] * 32) as f64;
-        let ilp =
-            (c.thread_tile[j] * c.vthreads[j]) as f64 * if c.unroll[j] != 0 { 2.0 } else { 1.0 };
-        let needed_occupancy = 1.0 / (1.0 + ilp / 4.0) + 0.15;
-        let latency_util = (occupancy[j] / needed_occupancy).min(1.0);
-        eff_part[j] = code_quality * warp_eff * latency_util;
-    }
-    // Tail effect (integer stage, scalar per lane).
-    let mut tail_eff = [0f64; LANES];
-    for j in 0..LANES {
-        let slots = spec.sms * blocks_per_sm[j];
-        let waves = (c.grid[j] + slots - 1) / slots;
-        tail_eff[j] = if waves > 0 {
-            c.grid[j] as f64 / (waves * slots) as f64
-        } else {
-            0.0
-        };
-    }
-    let peak = spec.peak_flops();
-    let mut compute_s = [0f64; LANES];
-    for j in 0..LANES {
-        let reg_bytes_pt = c.thread_reg_bytes[j].max(128);
-        let spill_penalty = if reg_bytes_pt > 1024 {
-            1024.0 / reg_bytes_pt as f64
-        } else {
-            1.0
-        };
-        let eff = eff_part[j] * tail_eff[j].max(1e-3) * spill_penalty;
-        compute_s[j] = if c.flops[j] == 0 {
-            0.0
-        } else {
-            (c.flops[j] as u64) as f64 / (peak * eff.max(1e-4))
-        };
-    }
-
-    // ---- memory time + combine (vectorizable f64 stage) --------------
-    let bw_base = spec.mem_bw_gbps * 1e9;
-    let mut time = [0f64; LANES];
-    for j in 0..LANES {
-        let tile_traffic =
-            c.grid[j] as f64 * c.reduce_outer[j] as f64 * c.shared_bytes_per_block[j] as f64;
-        let cache_shared = c.cache_shared[j] != 0;
-        let read_traffic = if cache_shared {
-            tile_traffic
-        } else {
-            tile_traffic * UNCACHED_TRAFFIC_PENALTY
-        };
-        let read_traffic = read_traffic.max(c.input_bytes_total[j] as f64);
-        let write_traffic = c.output_bytes[j] as f64;
-        let coalesce = match (cache_shared, c.contiguous_inner[j] != 0) {
-            (true, true) => 1.0,
-            (true, false) => 0.6,
-            (false, true) => 0.8,
-            (false, false) => 0.25,
-        };
-        let bw = bw_base * coalesce;
-        let mut mem_s = (read_traffic + write_traffic) / bw;
-        mem_s += c.data_node_bytes[j] as f64 / bw_base;
-        let kernel_s = compute_s[j].max(mem_s) + 0.2 * compute_s[j].min(mem_s);
-        let launches = 1 + if c.data_node_bytes[j] > 0 { 1 } else { 0 };
-        time[j] = kernel_s + launches as f64 * spec.launch_overhead_s;
-    }
-
-    for j in 0..LANES {
-        out.push(if valid[j] { Some(time[j]) } else { None });
-    }
-}
-
-/// The single model body behind [`gpu_time_row`] and
-/// [`gpu_time_row_tabled`]: the two entry points differ only in how the
-/// bounded-domain divisions are answered (divider vs. memo table), which
-/// cannot change a result.
-#[inline(always)]
-fn gpu_time_row_impl(
-    spec: &GpuSpec,
-    f: GpuRow,
-    code_quality: f64,
-    div_max_warps: impl Fn(i64) -> i64,
-    occupancy_of: impl Fn(i64) -> f64,
-) -> Option<f64> {
     let tpb = f.block_threads;
     if tpb < 1 || tpb > spec.max_threads_per_block {
         return None;
@@ -342,7 +104,7 @@ fn gpu_time_row_impl(
 
     // ---- occupancy --------------------------------------------------
     let warps_pb = (tpb + 31) / 32;
-    let blocks_by_warps = div_max_warps(warps_pb);
+    let blocks_by_warps = spec.max_warps_per_sm / warps_pb;
     let blocks_by_shared = if shared_pb > 0 {
         spec.shared_per_sm / shared_pb
     } else {
@@ -359,8 +121,7 @@ fn gpu_time_row_impl(
     if blocks_per_sm < 1 {
         return None;
     }
-    let occupancy = occupancy_of(blocks_per_sm * warps_pb);
-
+    let occupancy = (blocks_per_sm * warps_pb) as f64 / spec.max_warps_per_sm as f64;
     // ---- compute efficiency ------------------------------------------
     let warp_eff = tpb as f64 / (warps_pb * 32) as f64;
     // Latency hiding: per-thread ILP from register tiles and unrolling

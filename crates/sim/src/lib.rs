@@ -16,14 +16,16 @@
 //!   `workload/#PE × max(R, C, W)` pipeline model with DSP/BRAM
 //!   feasibility constraints.
 //! * [`model`] — [`model::Evaluator`], the "performance value"
-//!   oracle exploration queries (§5.1).
-//! * [`scalar`] / [`generic`] — the models rewritten once over the
-//!   abstract [`scalar::Scalar`] domain, with three instantiations:
-//!   `f64` (bit-identical to the concrete models, and what the scalar
-//!   entry points now route through), outward-rounding
+//!   oracle exploration queries (§5.1). [`model::Evaluator::time_features`]
+//!   is the one scoring path every search uses.
+//! * [`scalar`] / [`generic`] — each model written once over the
+//!   abstract [`scalar::Scalar`] domain, with two instantiations: `f64`
+//!   (what the public entry points run) and outward-rounding
 //!   [`scalar::Interval`] enclosures (powering sound region-level cost
-//!   bounds in `flextensor-analyze`), and the [`scalar::Dual`]
-//!   forward-mode stub reserved for a gradient tuner.
+//!   bounds in `flextensor-analyze`).
+//! * [`batch`] — [`batch::FeatureBatch`], a plain row store scored by
+//!   [`model::Evaluator::time_features_batch`], kept for the repository
+//!   benchmark's off-path replay of the cost model.
 //! * [`library`] — simulated baselines: cuDNN / cuBLAS / PyTorch-native /
 //!   MKL-DNN / hand-optimized OpenCL, modeled as fixed expert schedules
 //!   plus per-shape algorithm selection (Winograd, implicit GEMM, kernel
@@ -60,5 +62,5 @@ pub mod spec;
 
 pub use batch::FeatureBatch;
 pub use model::{Cost, Evaluator, GENERATED_CODE_QUALITY};
-pub use scalar::{Dual, Interval, IntervalError, Scalar, Trilean};
+pub use scalar::{Interval, IntervalError, Scalar, Trilean};
 pub use spec::{p100, titan_x, v100, vu9p, xeon_e5_2699_v4, CpuSpec, Device, FpgaSpec, GpuSpec};

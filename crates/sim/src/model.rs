@@ -14,7 +14,7 @@ use flextensor_schedule::features::KernelFeatures;
 use flextensor_schedule::lower::lower;
 use flextensor_schedule::template::LoweredTemplate;
 
-use crate::batch::{cpu_time_batch, fpga_time_batch, gpu_time_batch, FeatureBatch};
+use crate::batch::FeatureBatch;
 use crate::cpu::cpu_time;
 use crate::fpga::fpga_time;
 use crate::gpu::gpu_time;
@@ -124,20 +124,17 @@ impl Evaluator {
         }
     }
 
-    /// Times a whole batch of pre-computed feature rows in one call,
-    /// writing one entry per row to `out` (cleared first; `None` marks
-    /// infeasible rows). Dispatches on the device once and scores the
-    /// batch through the chunked kernels in [`crate::batch`].
+    /// Times every row of `batch`, writing one entry per row to `out`
+    /// (cleared first; `None` marks infeasible rows). This is
+    /// [`Evaluator::time_features`] mapped over the rows, so the results
+    /// are bit-identical to scoring them one at a time.
     ///
-    /// Bit-identical to mapping [`Evaluator::time_features`] over the rows
-    /// — the scalar path is the reference; see the [`crate::batch`]
-    /// determinism contract.
+    /// Kept for the repository benchmark's off-path replay, which times
+    /// the cost model on its own; the evaluation pool scores each
+    /// candidate through [`Evaluator::time_features`] directly.
     pub fn time_features_batch(&self, batch: &FeatureBatch, out: &mut Vec<Option<f64>>) {
-        match &self.device {
-            Device::Gpu(s) => gpu_time_batch(s, batch, self.code_quality, out),
-            Device::Cpu(s) => cpu_time_batch(s, batch, self.code_quality, out),
-            Device::Fpga(s) => fpga_time_batch(s, batch, self.code_quality, out),
-        }
+        out.clear();
+        out.extend(batch.rows().iter().map(|f| self.time_features(f)));
     }
 
     /// Lowers `cfg` for this device and evaluates it. `None` when the

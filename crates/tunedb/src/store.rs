@@ -25,7 +25,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::neighbor::nearest;
 use crate::record::{fnv1a64, TuneKey, TuneRecord};
@@ -193,6 +193,14 @@ impl TuneDb {
         ))
     }
 
+    /// Locks the index. Poisoning is recovered, not propagated: the only
+    /// mutation under the lock is `absorb`, a single map insert that runs
+    /// after the append has been flushed, so a panic while the lock is
+    /// held cannot leave the index half-updated or ahead of the logs.
+    fn index(&self) -> MutexGuard<'_, BTreeMap<TuneKey, TuneRecord>> {
+        self.index.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The database directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -200,7 +208,7 @@ impl TuneDb {
 
     /// Number of keys in the index.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("tunedb index poisoned").len()
+        self.index().len()
     }
 
     /// Whether the index is empty.
@@ -214,17 +222,12 @@ impl TuneDb {
     /// any request sees — the precondition for bit-identical
     /// concurrent-vs-serial behavior.
     pub fn snapshot(&self) -> BTreeMap<TuneKey, TuneRecord> {
-        self.index.lock().expect("tunedb index poisoned").clone()
+        self.index().clone()
     }
 
     /// Every key in the index, in sorted order.
     pub fn keys(&self) -> Vec<TuneKey> {
-        self.index
-            .lock()
-            .expect("tunedb index poisoned")
-            .keys()
-            .cloned()
-            .collect()
+        self.index().keys().cloned().collect()
     }
 
     /// The best record for `key`, counting a hit or a miss in
@@ -241,11 +244,7 @@ impl TuneDb {
 
     /// The best record for `key`, without touching the hit/miss counters.
     pub fn peek(&self, key: &TuneKey) -> Option<TuneRecord> {
-        self.index
-            .lock()
-            .expect("tunedb index poisoned")
-            .get(key)
-            .cloned()
+        self.index().get(key).cloned()
     }
 
     /// The stored record nearest to `key` under the warm-start metric
@@ -253,7 +252,7 @@ impl TuneDb {
     /// distance, ties by key order), excluding `key` itself. Counts a
     /// warm-start in [`DbStats`] when a neighbor exists.
     pub fn nearest_neighbor(&self, key: &TuneKey) -> Option<(TuneRecord, f64)> {
-        let index = self.index.lock().expect("tunedb index poisoned");
+        let index = self.index();
         let found = nearest(key, index.keys()).map(|(k, d)| (index[k].clone(), d));
         drop(index);
         if found.is_some() {
@@ -275,7 +274,7 @@ impl TuneDb {
         let line = record.to_jsonl();
         // Hold the index lock across the append so concurrent puts to one
         // shard never interleave partial lines.
-        let mut index = self.index.lock().expect("tunedb index poisoned");
+        let mut index = self.index();
         let mut f = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -299,7 +298,7 @@ impl TuneDb {
     /// Returns [`TuneError`] on I/O failures; a failed shard rewrite
     /// leaves its live file untouched.
     pub fn compact(&self) -> Result<usize, TuneError> {
-        let index = self.index.lock().expect("tunedb index poisoned");
+        let index = self.index();
         let mut per_shard: Vec<String> = vec![String::new(); self.shards];
         for rec in index.values() {
             let s = self.shard_of(&rec.key);
@@ -490,6 +489,36 @@ mod tests {
                 .seconds,
             6.0
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn poisoned_index_is_recovered() {
+        let dir = temp_dir("poison");
+        let (db, _) = TuneDb::open(&dir).unwrap();
+        db.put(rec("gemm", vec![64, 64], 2.0)).unwrap();
+        db.put(rec("gemm", vec![64, 64], 3.0)).unwrap(); // superseded line
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = db.index.lock().unwrap();
+                panic!("panic while holding the tunedb index");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && db.index.is_poisoned());
+        let key = TuneKey::new("gemm", vec![64, 64], "gpu");
+        assert_eq!(db.get(&key).unwrap().seconds, 2.0);
+        db.put(rec("gemm", vec![64, 64], 1.0)).unwrap();
+        db.put(rec("c2d", vec![8, 8, 8], 5.0)).unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap[&key].seconds, 1.0);
+        assert_eq!(db.compact().unwrap(), 2);
+        drop(db);
+        let (db, rep) = TuneDb::open(&dir).unwrap();
+        assert_eq!((rep.records_kept, rep.lines_dropped), (2, 0));
+        assert_eq!(db.peek(&key).unwrap().seconds, 1.0);
         fs::remove_dir_all(&dir).ok();
     }
 
