@@ -16,6 +16,15 @@
 //!   claimed it; this request waits for that result instead of running a
 //!   duplicate search.
 //!
+//! Only fresh tunes ever reach a worker. A hit is answered inside
+//! [`Session::submit_with`] from the immutable snapshot, and so is a
+//! coalesced request whose key's tune has already finished; a coalesced
+//! request whose tune is still queued or running is parked at submit and
+//! answered by the worker that finishes it. A tune that returns `Err` or
+//! panics fails its key: the primary request, every parked waiter and
+//! every later request for the key get the error, and the worker keeps
+//! serving.
+//!
 //! Because classification and warm-start selection read only the
 //! snapshot (never the live, concurrently-mutated index), and because
 //! search itself is bit-deterministic for a fixed seed, the *result* of
@@ -24,12 +33,14 @@
 //! wall-clock (queue wait) differs. `tests/tunedb.rs` proves this.
 //!
 //! Scheduling across sessions is fair round-robin: each session has its
-//! own FIFO queue, and workers take the next job from the next non-empty
-//! queue in rotation, so one chatty session cannot starve another.
+//! own FIFO queue of fresh tunes, and workers take the next job from the
+//! next non-empty queue in rotation, so one chatty session cannot starve
+//! another.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -76,7 +87,8 @@ pub struct Tuned {
 /// prove exactly-once evaluation and fault isolation.
 pub trait TuneRunner: Send + Sync {
     /// Tunes one task. An `Err` fails only the requests for this key;
-    /// the server and its other sessions keep running.
+    /// the server and its other sessions keep running. A panic is
+    /// caught and treated as an `Err` naming its message.
     fn tune(&self, task: &Task, opts: &OptimizeOptions) -> Result<Tuned, String>;
 }
 
@@ -174,8 +186,11 @@ pub struct ServeResult {
     /// How the result was produced.
     pub source: ServeSource,
     /// Wall-clock seconds from submit until the server acted on the
-    /// request (for coalesced requests: until the primary result was
-    /// available). Excluded from determinism guarantees.
+    /// request: for a fresh tune, until a worker took it; for a request
+    /// parked on an in-flight tune, until that tune finished; for a
+    /// request answered at submit (a hit, or a coalesced request whose
+    /// tune had finished), the time `submit_with` took to answer,
+    /// effectively 0. Excluded from determinism guarantees.
     pub queue_wait_s: f64,
 }
 
@@ -200,7 +215,8 @@ pub struct SessionStats {
     pub submitted: usize,
     /// Requests answered successfully.
     pub completed: usize,
-    /// Requests that failed (the tune for their key errored).
+    /// Requests that failed (the tune for their key errored or
+    /// panicked).
     pub failed: usize,
     /// Requests answered from the database snapshot.
     pub hits: usize,
@@ -233,29 +249,39 @@ pub struct ServerStats {
     pub coalesced: usize,
 }
 
-/// Submit-time classification (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Hit,
-    Fresh,
-    Coalesced,
+/// Fresh jobs queued, tunes in progress, and coalesced requests
+/// parked, as read by [`SessionServer::load`]. Wall-clock dependent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerLoad {
+    /// Fresh tunes waiting for a worker.
+    pub queued: usize,
+    /// Tunes a worker is running.
+    pub running: usize,
+    /// Coalesced requests waiting for their key's tune to finish.
+    pub parked: usize,
 }
 
 type Outcome = Result<(Vec<i64>, f64), String>;
 
-struct Job {
+/// Where one request's answer goes.
+struct Waiter {
     session: usize,
+    tx: mpsc::Sender<Result<ServeResult, ServeError>>,
+    /// When `submit_with` was called.
+    enqueued: Instant,
+}
+
+/// A fresh tune: the only work the workers see.
+struct Job {
     key: TuneKey,
     graph: Graph,
     device: Device,
-    class: Class,
     /// Neighbor (or, for refines, own-best) config chosen at submit
-    /// time (Fresh only).
+    /// time.
     warm: Option<Vec<i64>>,
     /// Per-request overrides recorded at submit time.
     sub: SubmitOptions,
-    tx: mpsc::Sender<Result<ServeResult, ServeError>>,
-    enqueued: Instant,
+    waiter: Waiter,
 }
 
 struct SessionEntry {
@@ -269,10 +295,12 @@ struct State {
     shutdown: bool,
     /// Keys whose tune finished this run, with their outcome.
     done: HashMap<TuneKey, Outcome>,
-    /// Coalesced jobs parked until their key lands in `done`.
-    waiters: HashMap<TuneKey, Vec<Job>>,
+    /// Coalesced requests parked until their key lands in `done`.
+    waiters: HashMap<TuneKey, Vec<Waiter>>,
     /// Non-snapshot keys already claimed by a Fresh request.
     claimed: HashSet<TuneKey>,
+    /// Tunes a worker has taken and not yet answered.
+    running: usize,
     sessions: Vec<SessionEntry>,
 }
 
@@ -364,6 +392,7 @@ impl SessionServer {
                 done: HashMap::new(),
                 waiters: HashMap::new(),
                 claimed: HashSet::new(),
+                running: 0,
                 sessions: Vec::new(),
             }),
             cv: Condvar::new(),
@@ -383,7 +412,7 @@ impl SessionServer {
     /// Registers a named session. Sessions are cheap; statistics are
     /// reported per session in registration order.
     pub fn session(&self, name: &str) -> Session<'_> {
-        let mut st = self.lock();
+        let mut st = self.inner.lock();
         let id = st.sessions.len();
         st.sessions.push(SessionEntry {
             name: name.to_string(),
@@ -395,7 +424,8 @@ impl SessionServer {
 
     /// Per-session statistics, in registration order.
     pub fn session_stats(&self) -> Vec<(String, SessionStats)> {
-        self.lock()
+        self.inner
+            .lock()
             .sessions
             .iter()
             .map(|s| (s.name.clone(), s.stats.clone()))
@@ -404,7 +434,7 @@ impl SessionServer {
 
     /// Whole-server aggregate statistics.
     pub fn stats(&self) -> ServerStats {
-        let st = self.lock();
+        let st = self.inner.lock();
         let mut agg = ServerStats::default();
         for s in &st.sessions {
             agg.requests += s.stats.submitted;
@@ -454,8 +484,24 @@ impl SessionServer {
         self.inner.snapshot.len()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.inner.state.lock().expect("serve state poisoned")
+    /// The server's current load. Unlike [`SessionServer::stats`], this
+    /// depends on timing and is not deterministic.
+    pub fn load(&self) -> ServerLoad {
+        let st = self.inner.lock();
+        ServerLoad {
+            queued: st.queues.iter().map(VecDeque::len).sum(),
+            running: st.running,
+            parked: st.waiters.values().map(Vec::len).sum(),
+        }
+    }
+}
+
+impl Inner {
+    /// Locks the server state, recovering it if poisoned. No runner or
+    /// database code runs under this lock, so only a fault in this
+    /// module could poison it; the other sessions keep being served.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -464,7 +510,7 @@ impl Drop for SessionServer {
     /// [`Ticket`]s are all answered before this returns.
     fn drop(&mut self) {
         {
-            let mut st = self.lock();
+            let mut st = self.inner.lock();
             st.shutdown = true;
         }
         self.inner.cv.notify_all();
@@ -483,51 +529,72 @@ impl Session<'_> {
     /// Submits a tuning request with per-request overrides (trial
     /// budget, refine mode, anneal window); returns immediately with a
     /// [`Ticket`]. See [`SubmitOptions`].
+    ///
+    /// A snapshot hit, and a coalesced request whose key's tune has
+    /// already finished, are answered before this returns; only fresh
+    /// tunes are queued for the workers.
     pub fn submit_with(&self, graph: Graph, device: Device, sub: SubmitOptions) -> Ticket {
+        let enqueued = Instant::now();
         let inner = &self.server.inner;
         let key = task_key(&graph, &device);
         let (tx, rx) = mpsc::channel();
-        {
-            let mut st = self.server.lock();
-            st.sessions[self.id].stats.submitted += 1;
-            let in_snapshot = inner.snapshot.contains_key(&key);
-            let (class, warm) = if in_snapshot && !sub.refine {
-                st.sessions[self.id].stats.hits += 1;
-                (Class::Hit, None)
-            } else if st.claimed.contains(&key) {
-                st.sessions[self.id].stats.coalesced += 1;
-                (Class::Coalesced, None)
+        let waiter = Waiter {
+            session: self.id,
+            tx,
+            enqueued,
+        };
+        let stored = inner.snapshot.get(&key);
+        let mut guard = inner.lock();
+        let st = &mut *guard;
+        let stats = &mut st.sessions[self.id].stats;
+        stats.submitted += 1;
+        if let Some(rec) = stored.filter(|_| !sub.refine) {
+            stats.hits += 1;
+            let outcome = Ok((rec.config.clone(), rec.seconds));
+            let wait_s = elapsed(enqueued);
+            waiter.answer(&mut st.sessions, &key, &outcome, ServeSource::Hit, wait_s);
+        } else if st.claimed.contains(&key) {
+            stats.coalesced += 1;
+            if let Some(outcome) = st.done.get(&key) {
+                let wait_s = elapsed(enqueued);
+                waiter.answer(
+                    &mut st.sessions,
+                    &key,
+                    outcome,
+                    ServeSource::Coalesced,
+                    wait_s,
+                );
             } else {
-                st.claimed.insert(key.clone());
-                st.sessions[self.id].stats.misses += 1;
-                // Warm-start from the snapshot, never the live index:
-                // concurrent puts must not change what any request sees.
-                // A refine of a snapshot key seeds from its own stored
-                // best; anything else from the nearest-shape neighbor.
-                let warm = if in_snapshot {
-                    Some(inner.snapshot[&key].config.clone())
-                } else {
-                    nearest(&key, &inner.snapshot_keys)
-                        .map(|(k, _)| inner.snapshot[k].config.clone())
-                };
-                if warm.is_some() {
-                    st.sessions[self.id].stats.warm_starts += 1;
-                }
-                (Class::Fresh, warm)
+                // The key's tune is queued or running; its worker
+                // answers every parked waiter when it finishes.
+                st.waiters.entry(key).or_default().push(waiter);
+            }
+        } else {
+            stats.misses += 1;
+            // Warm-start from the snapshot, never the live index:
+            // concurrent puts must not change what any request sees.
+            // A refine of a snapshot key seeds from its own stored
+            // best; anything else from the nearest-shape neighbor.
+            let warm = match stored {
+                Some(rec) => Some(rec.config.clone()),
+                None => nearest(&key, &inner.snapshot_keys)
+                    .map(|(k, _)| inner.snapshot[k].config.clone()),
             };
+            if warm.is_some() {
+                stats.warm_starts += 1;
+            }
+            st.claimed.insert(key.clone());
             st.queues[self.id].push_back(Job {
-                session: self.id,
                 key,
                 graph,
                 device,
-                class,
                 warm,
                 sub,
-                tx,
-                enqueued: Instant::now(),
+                waiter,
             });
+            drop(guard);
+            inner.cv.notify_one();
         }
-        inner.cv.notify_all();
         Ticket { rx }
     }
 
@@ -554,111 +621,120 @@ fn take_next(st: &mut State) -> Option<Job> {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut st = inner.state.lock().expect("serve state poisoned");
+            let mut st = inner.lock();
             loop {
                 if let Some(job) = take_next(&mut st) {
+                    st.running += 1;
                     break job;
                 }
                 if st.shutdown {
                     return;
                 }
-                st = inner.cv.wait(st).expect("serve state poisoned");
+                st = inner.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         process(inner, job);
     }
 }
 
-fn fulfill(st: &mut State, job: &Job, outcome: &Outcome, source: ServeSource, wait_s: f64) {
-    let stats = &mut st.sessions[job.session].stats;
-    stats.queue_wait_s += wait_s;
-    let msg = match outcome {
-        Ok((config, seconds)) => {
-            stats.completed += 1;
-            Ok(ServeResult {
-                key: job.key.clone(),
-                config: config.clone(),
-                seconds: *seconds,
-                source,
-                queue_wait_s: wait_s,
-            })
-        }
-        Err(e) => {
-            stats.failed += 1;
-            Err(ServeError(e.clone()))
-        }
-    };
-    // A dropped Ticket just discards the answer.
-    let _ = job.tx.send(msg);
+fn elapsed(since: Instant) -> f64 {
+    since.elapsed().as_secs_f64()
 }
 
-fn process(inner: &Inner, job: Job) {
-    let wait_s = job.enqueued.elapsed().as_secs_f64();
-    match job.class {
-        Class::Hit => {
-            let rec = &inner.snapshot[&job.key];
-            let outcome = Ok((rec.config.clone(), rec.seconds));
-            let mut st = inner.state.lock().expect("serve state poisoned");
-            fulfill(&mut st, &job, &outcome, ServeSource::Hit, wait_s);
-        }
-        Class::Coalesced => {
-            let mut st = inner.state.lock().expect("serve state poisoned");
-            if let Some(outcome) = st.done.get(&job.key).cloned() {
-                fulfill(&mut st, &job, &outcome, ServeSource::Coalesced, wait_s);
-            } else {
-                // Primary tune still in flight: park; the finishing
-                // worker fulfills us.
-                st.waiters.entry(job.key.clone()).or_default().push(job);
+impl Waiter {
+    /// Counts the outcome in the waiter's session and sends it.
+    fn answer(
+        self,
+        sessions: &mut [SessionEntry],
+        key: &TuneKey,
+        outcome: &Outcome,
+        source: ServeSource,
+        wait_s: f64,
+    ) {
+        let stats = &mut sessions[self.session].stats;
+        stats.queue_wait_s += wait_s;
+        let msg = match outcome {
+            Ok((config, seconds)) => {
+                stats.completed += 1;
+                Ok(ServeResult {
+                    key: key.clone(),
+                    config: config.clone(),
+                    seconds: *seconds,
+                    source,
+                    queue_wait_s: wait_s,
+                })
             }
-        }
-        Class::Fresh => {
-            let warm_started = job.warm.is_some();
-            let mut opts = inner.opts.base.clone();
-            if let Some(config) = &job.warm {
-                opts = opts.with_warm_start(vec![config.clone()]);
+            Err(e) => {
+                stats.failed += 1;
+                Err(ServeError(e.clone()))
             }
-            if let Some(trials) = job.sub.trials {
-                opts.search.trials = trials;
-            }
-            if job.sub.anneal_window.is_some() {
-                opts.search.anneal_window = job.sub.anneal_window;
-            }
-            let task = Task::new(job.graph.clone(), job.device.clone());
-            let tuned = inner.runner.tune(&task, &opts);
-            let outcome: Outcome = match tuned {
-                Ok(t) => {
-                    // Persist before answering so a crash after the
-                    // answer never loses the record. A failed append
-                    // leaves the in-memory answer valid; the key is
-                    // simply re-tuned by a future server.
-                    let _ = inner.db.put(TuneRecord {
-                        key: job.key.clone(),
-                        config: t.config.clone(),
-                        seconds: t.seconds,
-                        seed: opts.search.seed,
-                        trials: opts.search.trials,
-                        commit: inner.opts.commit.clone(),
-                    });
-                    Ok((t.config, t.seconds))
-                }
-                Err(e) => Err(e),
-            };
-            let mut st = inner.state.lock().expect("serve state poisoned");
-            st.done.insert(job.key.clone(), outcome.clone());
-            let waiters = st.waiters.remove(&job.key).unwrap_or_default();
-            fulfill(
-                &mut st,
-                &job,
-                &outcome,
-                ServeSource::Fresh { warm_started },
-                wait_s,
-            );
-            for w in waiters {
-                let w_wait = w.enqueued.elapsed().as_secs_f64();
-                fulfill(&mut st, &w, &outcome, ServeSource::Coalesced, w_wait);
-            }
-        }
+        };
+        // A dropped Ticket just discards the answer.
+        let _ = self.tx.send(msg);
     }
+}
+
+/// Runs one fresh tune, stores its result, and answers the request and
+/// every request parked on its key. A panicking runner fails the key
+/// like an `Err` would; the worker keeps serving.
+fn process(inner: &Inner, job: Job) {
+    let wait_s = elapsed(job.waiter.enqueued);
+    let warm_started = job.warm.is_some();
+    let mut opts = inner.opts.base.clone();
+    if let Some(config) = job.warm {
+        opts = opts.with_warm_start(vec![config]);
+    }
+    if let Some(trials) = job.sub.trials {
+        opts.search.trials = trials;
+    }
+    if job.sub.anneal_window.is_some() {
+        opts.search.anneal_window = job.sub.anneal_window;
+    }
+    let task = Task::new(job.graph, job.device);
+    let tuned = catch_unwind(AssertUnwindSafe(|| inner.runner.tune(&task, &opts)))
+        .unwrap_or_else(|payload| Err(format!("tune panicked: {}", panic_message(&*payload))));
+    let outcome: Outcome = tuned.map(|t| {
+        // Persist before answering so a crash after the answer never
+        // loses the record. A failed append (counted in
+        // `DbStats::put_failures`) leaves the in-memory answer valid;
+        // the key is simply re-tuned by a future server.
+        let _ = inner.db.put(TuneRecord {
+            key: job.key.clone(),
+            config: t.config.clone(),
+            seconds: t.seconds,
+            seed: opts.search.seed,
+            trials: opts.search.trials,
+            commit: inner.opts.commit.clone(),
+        });
+        (t.config, t.seconds)
+    });
+    let mut st = inner.lock();
+    st.running -= 1;
+    let waiters = st.waiters.remove(&job.key).unwrap_or_default();
+    let source = ServeSource::Fresh { warm_started };
+    job.waiter
+        .answer(&mut st.sessions, &job.key, &outcome, source, wait_s);
+    for w in waiters {
+        let w_wait = elapsed(w.enqueued);
+        w.answer(
+            &mut st.sessions,
+            &job.key,
+            &outcome,
+            ServeSource::Coalesced,
+            w_wait,
+        );
+    }
+    st.done.insert(job.key, outcome);
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format
+/// string), or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -688,6 +764,56 @@ mod tests {
 
     fn open_db(tag: &str) -> Arc<TuneDb> {
         Arc::new(TuneDb::open(testutil::temp_dir(tag)).unwrap().0)
+    }
+
+    /// A runner that reports each tune it starts, then blocks until the
+    /// gate hands it a token or the gate's sender is dropped (or, so a
+    /// failing test cannot hang, until [`BOUND`] passes).
+    struct GatedRunner {
+        started: Mutex<mpsc::Sender<TuneKey>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl TuneRunner for GatedRunner {
+        fn tune(&self, task: &Task, _opts: &OptimizeOptions) -> Result<Tuned, String> {
+            let key = task_key(&task.graph, &task.device);
+            let _ = self.started.lock().unwrap().send(key);
+            let _ = self.gate.lock().unwrap().recv_timeout(BOUND);
+            Ok(Tuned {
+                config: vec![task.graph.flops() as i64],
+                seconds: 1.0,
+            })
+        }
+    }
+
+    /// A gated server, the gate's sender (one token lets one tune
+    /// through; dropping it lets every tune through) and the stream of
+    /// started tunes.
+    fn gated_server(
+        db: Arc<TuneDb>,
+        workers: usize,
+    ) -> (SessionServer, mpsc::Sender<()>, mpsc::Receiver<TuneKey>) {
+        let (started_tx, started) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        let runner = GatedRunner {
+            started: Mutex::new(started_tx),
+            gate: Mutex::new(gate),
+        };
+        let opts = ServeOptions {
+            workers,
+            ..ServeOptions::default()
+        };
+        let server = SessionServer::with_runner(db, opts, Arc::new(runner));
+        (server, release, started)
+    }
+
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(10);
+
+    fn wait_bounded(ticket: Ticket) -> Result<ServeResult, ServeError> {
+        ticket
+            .rx
+            .recv_timeout(BOUND)
+            .expect("ticket not answered in time")
     }
 
     #[test]
@@ -839,6 +965,80 @@ mod tests {
         assert_eq!(r.seconds, 0.5);
         assert_eq!(server.stats().hits, 1);
         assert_eq!(server.stats().misses, 0);
+    }
+
+    #[test]
+    fn hits_and_finished_repeats_never_wait_for_a_worker() {
+        let db = open_db("serve-no-wait");
+        let hit = ops::gemm(64, 64, 64);
+        db.put(TuneRecord {
+            key: task_key(&hit, &Device::Gpu(v100())),
+            config: vec![7, 7, 7],
+            seconds: 0.5,
+            seed: 1,
+            trials: 0,
+            commit: "seeded".to_string(),
+        })
+        .unwrap();
+        let (server, release, started) = gated_server(db, 2);
+        let s = server.session("client");
+        let gpu = || Device::Gpu(v100());
+        // Let one tune through and wait for it: its key is now done.
+        release.send(()).unwrap();
+        let done = ops::gemv(256, 256);
+        let first = wait_bounded(s.submit(done.clone(), gpu())).unwrap();
+        assert!(matches!(first.source, ServeSource::Fresh { .. }));
+        // Hold every worker in a tune.
+        let held = [
+            s.submit(ops::gemm(96, 96, 96), gpu()),
+            s.submit(ops::gemm(128, 128, 128), gpu()),
+        ];
+        for _ in 0..3 {
+            started.recv_timeout(BOUND).expect("tune did not start");
+        }
+        let r = wait_bounded(s.submit(hit, gpu())).unwrap();
+        assert_eq!((r.source, r.config), (ServeSource::Hit, vec![7, 7, 7]));
+        let r = wait_bounded(s.submit(done, gpu())).unwrap();
+        assert_eq!(r.source, ServeSource::Coalesced);
+        assert_eq!(r.config, first.config);
+        assert_eq!(server.load().running, 2);
+        drop(release);
+        for t in held {
+            assert!(matches!(
+                wait_bounded(t).unwrap().source,
+                ServeSource::Fresh { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn load_counts_queued_running_and_parked_requests() {
+        let (server, release, started) = gated_server(open_db("serve-load"), 2);
+        let s = server.session("client");
+        let gpu = || Device::Gpu(v100());
+        assert_eq!(server.load(), ServerLoad::default());
+        let mut tickets = vec![
+            s.submit(ops::gemm(32, 32, 32), gpu()),
+            s.submit(ops::gemm(48, 48, 48), gpu()),
+        ];
+        for _ in 0..2 {
+            started.recv_timeout(BOUND).expect("tune did not start");
+        }
+        tickets.push(s.submit(ops::gemm(64, 64, 64), gpu()));
+        tickets.push(s.submit(ops::gemm(32, 32, 32), gpu()));
+        assert_eq!(
+            server.load(),
+            ServerLoad {
+                queued: 1,
+                running: 2,
+                parked: 1
+            }
+        );
+        drop(release);
+        for t in tickets {
+            wait_bounded(t).unwrap();
+        }
+        assert_eq!(server.load(), ServerLoad::default());
     }
 
     #[test]

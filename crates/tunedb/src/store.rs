@@ -51,7 +51,8 @@ pub struct RecoveryReport {
 }
 
 /// Cumulative database counters: lookup hits/misses, warm-start seeds
-/// handed out, records appended, and lines dropped by recovery.
+/// handed out, records appended, failed appends, and lines dropped by
+/// recovery.
 ///
 /// Every field except `lines_dropped` is monotone over the database's
 /// lifetime and deterministic given the same request sequence; none of
@@ -68,6 +69,8 @@ pub struct DbStats {
     pub warm_starts: usize,
     /// Records appended since open.
     pub puts: usize,
+    /// `put` calls since open whose append failed.
+    pub put_failures: usize,
     /// Lines dropped by recovery at open.
     pub lines_dropped: usize,
 }
@@ -83,6 +86,7 @@ pub struct TuneDb {
     misses: AtomicUsize,
     warm_starts: AtomicUsize,
     puts: AtomicUsize,
+    put_failures: AtomicUsize,
     lines_dropped: usize,
 }
 
@@ -187,6 +191,7 @@ impl TuneDb {
                 misses: AtomicUsize::new(0),
                 warm_starts: AtomicUsize::new(0),
                 puts: AtomicUsize::new(0),
+                put_failures: AtomicUsize::new(0),
                 lines_dropped: report.lines_dropped,
             },
             report,
@@ -268,8 +273,18 @@ impl TuneDb {
     ///
     /// Returns [`TuneError`] when the append cannot be written. The index
     /// is only updated after a successful write, so a failed put leaves
-    /// no partial state.
+    /// no partial state; it is counted in [`DbStats::put_failures`].
     pub fn put(&self, record: TuneRecord) -> Result<(), TuneError> {
+        let appended = self.append(record);
+        let counter = match appended {
+            Ok(()) => &self.puts,
+            Err(_) => &self.put_failures,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        appended
+    }
+
+    fn append(&self, record: TuneRecord) -> Result<(), TuneError> {
         let path = self.shard_path(self.shard_of(&record.key));
         let line = record.to_jsonl();
         // Hold the index lock across the append so concurrent puts to one
@@ -284,8 +299,6 @@ impl TuneDb {
         f.flush()
             .map_err(|e| TuneError(format!("flush failed: {e}")))?;
         absorb(&mut index, record);
-        drop(index);
-        self.puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -341,6 +354,7 @@ impl TuneDb {
             misses: self.misses.load(Ordering::Relaxed),
             warm_starts: self.warm_starts.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
+            put_failures: self.put_failures.load(Ordering::Relaxed),
             lines_dropped: self.lines_dropped,
         }
     }

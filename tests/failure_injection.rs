@@ -231,6 +231,166 @@ fn failing_tune_is_isolated_to_its_key_and_leaves_no_record() {
     assert!(matches!(r.source, ServeSource::Fresh { .. }));
 }
 
+/// Waits for every ticket on its own helper thread, so a ticket that is
+/// never answered fails the test at `bound` instead of hanging it.
+fn wait_all_within(
+    tickets: Vec<flextensor::serve::Ticket>,
+    bound: std::time::Duration,
+) -> Vec<Result<flextensor::serve::ServeResult, flextensor::serve::ServeError>> {
+    let deadline = std::time::Instant::now() + bound;
+    let answers: Vec<_> = tickets
+        .into_iter()
+        .map(|t| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(t.wait());
+            });
+            rx
+        })
+        .collect();
+    answers
+        .into_iter()
+        .enumerate()
+        .map(|(i, rx)| {
+            rx.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+                .unwrap_or_else(|_| panic!("ticket {i} not answered within {bound:?}"))
+        })
+        .collect()
+}
+
+// A panicking tune fails its key — the primary, every coalesced waiter
+// and every later request — and the worker that caught it keeps serving.
+#[test]
+fn panicking_tune_fails_its_key_without_hanging_waiters_or_killing_the_worker() {
+    use std::sync::Arc;
+
+    use flextensor::serve::{
+        task_key, ServeOptions, ServeSource, SessionServer, TuneRunner, Tuned,
+    };
+    use flextensor::{OptimizeOptions, Task};
+    use flextensor_sim::spec::{v100, Device};
+    use flextensor_tunedb::{testutil, TuneDb, TuneKey, TuneRecord};
+
+    /// Panics on one key, answers every other key normally.
+    struct PanickingRunner {
+        poisoned: TuneKey,
+    }
+
+    impl TuneRunner for PanickingRunner {
+        fn tune(&self, task: &Task, _opts: &OptimizeOptions) -> Result<Tuned, String> {
+            let key = task_key(&task.graph, &task.device);
+            assert!(key != self.poisoned, "injected runner panic");
+            Ok(Tuned {
+                config: key.shape.clone(),
+                seconds: 1e-5,
+            })
+        }
+    }
+
+    let device = Device::Gpu(v100());
+    let bad = ops::gemm(32, 32, 32);
+    let stored = ops::gemm(64, 64, 64);
+    let db = Arc::new(TuneDb::open(testutil::temp_dir("panic")).unwrap().0);
+    db.put(TuneRecord {
+        key: task_key(&stored, &device),
+        config: vec![1, 2, 3],
+        seconds: 0.5,
+        seed: 1,
+        trials: 0,
+        commit: "seeded".to_string(),
+    })
+    .unwrap();
+    let server = SessionServer::with_runner(
+        Arc::clone(&db),
+        ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        },
+        Arc::new(PanickingRunner {
+            poisoned: task_key(&bad, &device),
+        }),
+    );
+    let s = server.session("client");
+    let tickets = vec![
+        s.submit(bad.clone(), device.clone()),
+        s.submit(bad.clone(), device.clone()),
+        s.submit(bad.clone(), device.clone()),
+        s.submit(stored, device.clone()),
+        s.submit(ops::gemm(96, 96, 96), device.clone()),
+    ];
+    let answers = wait_all_within(tickets, std::time::Duration::from_secs(10));
+    for a in &answers[..3] {
+        let err = a.as_ref().unwrap_err();
+        assert!(
+            err.0.contains("tune panicked: injected runner panic"),
+            "{err}"
+        );
+    }
+    assert_eq!(answers[3].as_ref().unwrap().source, ServeSource::Hit);
+    assert_eq!(
+        answers[4].as_ref().unwrap().source,
+        ServeSource::Fresh { warm_started: true }
+    );
+    // The failed outcome is remembered: a later request fails at once.
+    let later = wait_all_within(
+        vec![s.submit(bad.clone(), device.clone())],
+        std::time::Duration::from_secs(10),
+    );
+    assert!(later[0].is_err());
+    let stats = server.stats();
+    assert_eq!((stats.failed, stats.completed), (4, 2));
+    drop(server);
+    assert!(db.peek(&task_key(&bad, &device)).is_none());
+}
+
+// A database append that fails leaves the answer valid and is counted.
+// Removing the directory under an open database makes the append fail
+// even for a root user, whom read-only permissions would not stop.
+#[test]
+fn failed_database_append_still_answers_and_is_counted() {
+    use std::sync::Arc;
+
+    use flextensor::serve::{ServeOptions, ServeSource, SessionServer, TuneRunner, Tuned};
+    use flextensor::{OptimizeOptions, Task};
+    use flextensor_sim::spec::{v100, Device};
+    use flextensor_tunedb::{testutil, TuneDb};
+
+    struct FixedRunner;
+
+    impl TuneRunner for FixedRunner {
+        fn tune(&self, _task: &Task, _opts: &OptimizeOptions) -> Result<Tuned, String> {
+            Ok(Tuned {
+                config: vec![4, 2],
+                seconds: 1e-5,
+            })
+        }
+    }
+
+    let dir = testutil::temp_dir("put-fail");
+    let db = Arc::new(TuneDb::open(&dir).unwrap().0);
+    let server = SessionServer::with_runner(
+        Arc::clone(&db),
+        ServeOptions::default(),
+        Arc::new(FixedRunner),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    let s = server.session("client");
+    let r = s
+        .submit(ops::gemm(32, 32, 32), Device::Gpu(v100()))
+        .wait()
+        .unwrap();
+    assert_eq!(
+        r.source,
+        ServeSource::Fresh {
+            warm_started: false
+        }
+    );
+    assert_eq!(r.config, vec![4, 2]);
+    drop(server);
+    let stats = db.stats();
+    assert_eq!((stats.puts, stats.put_failures), (0, 1));
+}
+
 /// Runs trials until the agent trains, returning that round's loss.
 fn train_round(agent: &mut QAgent, rng: &mut StdRng) -> f64 {
     (0..1000)
