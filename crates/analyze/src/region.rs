@@ -20,10 +20,11 @@
 //!    `f64` cost of every feature row inside the bounds — and `None`
 //!    proves every such row infeasible.
 //!
-//! The exploration layer uses these verdicts as a branch-and-bound gate
-//! (`SearchOptions::region_gate`): regions whose certified lower bound
-//! exceeds the incumbent best cannot contain an improvement, and
-//! `Illegal` regions cannot contain a feasible candidate at all.
+//! The exploration layer's end-of-run certification sweep
+//! (`SearchOptions::region_gate`) branches and bounds on these verdicts:
+//! regions whose certified lower bound exceeds the incumbent best cannot
+//! contain an improvement, and `Illegal` regions cannot contain a
+//! feasible candidate at all.
 //!
 //! [`LoweredTemplate::feature_bounds`]: flextensor_schedule::template::LoweredTemplate::feature_bounds
 //! [`Evaluator::time_features_interval`]: flextensor_sim::model::Evaluator::time_features_interval

@@ -18,10 +18,11 @@
 //! Each workload is additionally run as a *neighbor batch* — a few seeded
 //! starting points expanded along every applicable direction, the exact
 //! shape the search drivers produce — through both the plain fast path
-//! and the **delta** path (`EvalPool::new_delta` +
-//! `evaluate_batch_delta`), which patches only the features each
-//! single-field move can affect. The delta outcomes are cross-checked
-//! against the plain pool before timing, and the per-workload
+//! (`evaluate_batch`) and the **delta** path (`evaluate_batch_delta`,
+//! the one the search drivers use), which lowers each base once and
+//! patches only the features each single-field move can affect. The
+//! delta outcomes are cross-checked against the plain batch before
+//! timing, and the per-workload
 //! `delta_speedup` (delta vs. plain fast path on the same batch) lands in
 //! the JSON alongside the fast-vs-naive numbers.
 //!
@@ -76,7 +77,7 @@ struct WorkloadResult {
     neighbor_fast_cand_per_s: f64,
     /// Delta path on the neighbor batch, candidates/sec.
     delta_cand_per_s: f64,
-    /// Fresh evaluations the delta pool served incrementally / fully.
+    /// Fresh evaluations the delta batch served incrementally / fully.
     delta_hits: usize,
     delta_full: usize,
     /// Encoding + modeled seconds of the cheapest feasible candidate
@@ -172,7 +173,7 @@ fn measure_delta(
     let mut hits = 0usize;
     let mut full = 0usize;
     while reps < 2 || total_secs < budget_s {
-        let mut pool = EvalPool::new_delta(graph, ev, workers, 1 << 20, false);
+        let mut pool = EvalPool::new(graph, ev, workers, 1 << 20);
         let t0 = Instant::now();
         let outcomes = pool.evaluate_batch_delta(cands, base_of, bases);
         total_secs += t0.elapsed().as_secs_f64();
@@ -209,8 +210,8 @@ fn run_workload(
     // search drivers actually produce — and is cross-checked the same way.
     let (ncands, base_of, bases) = neighbor_batch(&space, seed ^ 0xde17a, 8);
     let plain_neighbor_out = EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch(&ncands);
-    let delta_out = EvalPool::new_delta(graph, &ev, workers, 1 << 20, false)
-        .evaluate_batch_delta(&ncands, &base_of, &bases);
+    let delta_out =
+        EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch_delta(&ncands, &base_of, &bases);
     assert_eq!(
         delta_out, plain_neighbor_out,
         "delta path diverged on {name}"

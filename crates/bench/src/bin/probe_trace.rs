@@ -12,11 +12,7 @@
 //!   in one step. Flags: `--method q|p|walk|autotvm` (default `q`),
 //!   `--trials N` (default 40; rounds for `autotvm`), `--seed N`,
 //!   `--workers N` (evaluation workers; any value records the same
-//!   trace modulo wall-clock fields), `--delta 1` (search methods only:
-//!   evaluate each trial's candidates incrementally — the trace gains
-//!   `delta_stats` records but is otherwise byte-identical modulo
-//!   wall-clock fields, because the delta path is bit-identical to the
-//!   full path).
+//!   trace modulo wall-clock fields).
 //!
 //! The JSONL schema is documented in `docs/TRACE_FORMAT.md`.
 
@@ -37,8 +33,7 @@ fn main() {
                 eprintln!("usage: probe_trace <trace.jsonl>");
                 eprintln!(
                     "       probe_trace --record <trace.jsonl> \
-                     [--method q|p|walk|autotvm] [--trials N] [--seed N] [--workers N] \
-                     [--delta 1]"
+                     [--method q|p|walk|autotvm] [--trials N] [--seed N] [--workers N]"
                 );
                 std::process::exit(2);
             }
@@ -80,17 +75,12 @@ fn record_trace(path: &str) {
     let trials: usize = arg("trials", 40);
     let seed: u64 = arg("seed", 0xF1E2);
     let workers: usize = arg("workers", 1);
-    let delta: usize = arg("delta", 0);
     let g = ops::gemm(256, 256, 256);
     let ev = Evaluator::new(Device::Gpu(v100()));
     let sink = JsonlSink::create(path).expect("create trace file");
     let tel = Telemetry::to_sink(sink);
-    let tag = if delta != 0 { ", delta eval" } else { "" };
-    println!("recording `{method}` run ({trials} trials, seed {seed:#x}{tag}) -> {path}");
+    println!("recording `{method}` run ({trials} trials, seed {seed:#x}) -> {path}");
     if method == "autotvm" {
-        if delta != 0 {
-            eprintln!("--delta applies to search methods only; ignored for autotvm");
-        }
         let opts = TuneOptions {
             rounds: trials.max(1),
             batch: 16,
@@ -113,7 +103,6 @@ fn record_trace(path: &str) {
             initial_samples: 12,
             seed,
             eval_workers: workers,
-            delta_eval: delta != 0,
             telemetry: tel,
             ..SearchOptions::default()
         };

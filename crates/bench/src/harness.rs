@@ -93,14 +93,6 @@ pub fn eval_summary(stats: &flextensor_explore::pool::EvalStats) -> String {
     } else {
         String::new()
     };
-    let region = if stats.regions_analyzed > 0 {
-        format!(
-            ", {} region-pruned over {} regions",
-            stats.region_pruned, stats.regions_analyzed
-        )
-    } else {
-        String::new()
-    };
     let delta = if stats.delta_hits + stats.delta_full > 0 {
         format!(
             ", {} delta / {} full recompute",
@@ -110,7 +102,7 @@ pub fn eval_summary(stats: &flextensor_explore::pool::EvalStats) -> String {
         String::new()
     };
     format!(
-        "{} fresh evals, {} cache hits ({:.1}% hit rate){pruned}{region}{delta}, {} worker{}, {} wall-clock evaluating",
+        "{} fresh evals, {} cache hits ({:.1}% hit rate){pruned}{delta}, {} worker{}, {} wall-clock evaluating",
         stats.evaluated,
         stats.cache_hits,
         100.0 * stats.hit_rate(),
@@ -167,8 +159,6 @@ mod tests {
             cache_hits: 10,
             cache_misses: 40,
             pruned: 0,
-            region_pruned: 0,
-            regions_analyzed: 0,
             delta_hits: 0,
             delta_full: 0,
             workers: 8,
@@ -188,10 +178,6 @@ mod tests {
         s.delta_full = 10;
         let line = eval_summary(&s);
         assert!(line.contains("30 delta / 10 full recompute"), "{line}");
-        s.region_pruned = 3;
-        s.regions_analyzed = 9;
-        let line = eval_summary(&s);
-        assert!(line.contains("3 region-pruned over 9 regions"), "{line}");
     }
 }
 

@@ -90,13 +90,11 @@ impl OptimizeOptions {
         self
     }
 
-    /// Enables (or disables) incremental candidate evaluation: each
-    /// neighbor is costed by patching only the lowered features its
-    /// single-field move can affect, instead of recomputing all of them
-    /// (`flextensor-schedule`'s delta module). Bit-identical to the full
-    /// path by construction — the chosen schedule, its cost, and the whole
-    /// trace are unchanged; only evaluation throughput improves. Tallies
-    /// land in [`EvalStats::delta_hits`] / [`EvalStats::delta_full`].
+    /// Sets `SearchOptions::delta_eval`, which has no effect: every search
+    /// evaluates its neighbors incrementally (tallies in
+    /// [`EvalStats::delta_hits`] / [`EvalStats::delta_full`]). Kept only
+    /// because the frozen repository benchmark calls it; it goes with the
+    /// next change to that benchmark.
     pub fn with_delta_eval(mut self, enabled: bool) -> OptimizeOptions {
         self.search.delta_eval = enabled;
         self
@@ -284,17 +282,6 @@ mod tests {
         assert_eq!(off.eval_stats.pruned, 0);
         assert!(on.eval_stats.pruned > 0);
         assert!(on.exploration_time_s < off.exploration_time_s);
-    }
-
-    #[test]
-    fn delta_eval_does_not_change_the_chosen_schedule() {
-        let task = Task::new(ops::gemm(256, 256, 256), Device::Gpu(v100()));
-        let off = optimize(&task, &OptimizeOptions::quick()).unwrap();
-        let on = optimize(&task, &OptimizeOptions::quick().with_delta_eval(true)).unwrap();
-        assert_eq!(on.config.encode(), off.config.encode());
-        assert_eq!(on.cost.seconds.to_bits(), off.cost.seconds.to_bits());
-        assert_eq!(off.eval_stats.delta_hits, 0);
-        assert!(on.eval_stats.delta_hits > 0);
     }
 
     #[test]

@@ -105,32 +105,18 @@ pub struct SearchOptions {
     /// candidates skip the modeled measurement cost, and their tally shows
     /// up in [`EvalStats::pruned`] and `analyzer_stats` trace records.
     pub analyzer_gate: bool,
-    /// Evaluate each trial's candidates incrementally
-    /// ([`flextensor_schedule::delta`]): every candidate is a single-field
-    /// move from its starting point, so the pool patches only the features
-    /// that move can affect instead of recomputing all of them. The delta
-    /// path is bit-identical to the full path by construction, so the
-    /// search result, trace, and RNG sequence are unchanged; only
-    /// evaluation throughput improves. Delta-vs-full tallies show up in
-    /// [`EvalStats::delta_hits`] / [`EvalStats::delta_full`] and
-    /// `delta_stats` trace records. Composes with `analyzer_gate`.
+    /// Has no effect. Every trial batch is evaluated incrementally from
+    /// its starting points ([`EvalPool::evaluate_batch_delta`]). The field
+    /// is kept only because the frozen repository benchmark names it, and
+    /// goes with the next change to that benchmark.
     pub delta_eval: bool,
-    /// Gate candidates through the region analysis
-    /// ([`flextensor_analyze::analyze_region`]): each fresh candidate is
-    /// bucketed into its power-of-two factor box, and a box the abstract
-    /// interpretation certifies *statically illegal* rejects every member
-    /// before the cost model runs — one interval analysis covers the
-    /// whole bucket. The verdict is a pure function of the candidate, so
-    /// the gate is result-preserving: it only skips evaluations that
-    /// would have scored `None` anyway, and the best configuration, cost
-    /// bits, and RNG trajectory are identical either way. At the end of
-    /// the run a zero-evaluation branch-and-bound sweep
-    /// ([`crate::sweep::certify`]) additionally certifies how much of the
-    /// factor space around the best point provably cannot beat it.
-    /// Tallies show up in [`EvalStats::region_pruned`] /
-    /// [`EvalStats::regions_analyzed`], a `region_stats` trace record,
-    /// and [`SearchResult::region_sweep`]. Composes with `analyzer_gate`
-    /// and `delta_eval`.
+    /// Run the end-of-run certification sweep ([`crate::sweep::certify`]):
+    /// a zero-evaluation branch-and-bound over the factor space around the
+    /// best point, using the region analysis
+    /// ([`flextensor_analyze::analyze_region`]) to certify how much of it
+    /// provably cannot beat the best. The sweep runs after the search and
+    /// never changes its result. Its counters show up in
+    /// [`SearchResult::region_sweep`] and a `region_stats` trace record.
     pub region_gate: bool,
     /// Structured trace sink (disabled by default). When enabled, the
     /// search emits the full event stream of `docs/TRACE_FORMAT.md`:
@@ -340,24 +326,7 @@ pub fn search(
 
     let mut d = Driver {
         graph,
-        pool: if opts.region_gate {
-            EvalPool::new_region_gated(
-                graph,
-                evaluator,
-                opts.eval_workers,
-                opts.cache_capacity,
-                opts.analyzer_gate,
-                opts.delta_eval,
-            )
-        } else if opts.delta_eval {
-            EvalPool::new_delta(
-                graph,
-                evaluator,
-                opts.eval_workers,
-                opts.cache_capacity,
-                opts.analyzer_gate,
-            )
-        } else if opts.analyzer_gate {
+        pool: if opts.analyzer_gate {
             EvalPool::new_gated(graph, evaluator, opts.eval_workers, opts.cache_capacity)
         } else {
             EvalPool::new(graph, evaluator, opts.eval_workers, opts.cache_capacity)
@@ -486,16 +455,12 @@ pub fn search(
         }
 
         // Phase 2: evaluate the whole batch — memoized, fanned out over
-        // the pool's workers. With delta evaluation on, each candidate
-        // carries its starting point so the pool can patch features
-        // incrementally instead of recomputing them.
-        let outcomes = if opts.delta_eval {
-            let bases: Vec<NodeConfig> = starts.iter().map(|(p, _)| p.clone()).collect();
-            let base_of: Vec<usize> = meta.iter().map(|&(si, _)| si).collect();
-            d.pool.evaluate_batch_delta(&cands, &base_of, &bases)
-        } else {
-            d.pool.evaluate_batch(&cands)
-        };
+        // the pool's workers. Each candidate carries its starting point so
+        // the pool can patch features incrementally instead of recomputing
+        // them.
+        let bases: Vec<NodeConfig> = starts.iter().map(|(p, _)| p.clone()).collect();
+        let base_of: Vec<usize> = meta.iter().map(|&(si, _)| si).collect();
+        let outcomes = d.pool.evaluate_batch_delta(&cands, &base_of, &bases);
         d.pool.emit_stats(&tel, trial);
 
         // Phase 3: reduce in fixed candidate order. Hitting the stop
@@ -569,8 +534,6 @@ pub fn search(
         if let Some(sweep) = &region_sweep {
             tel.emit(TraceEvent::RegionStats {
                 trial: trace.last().map_or(0, |t| t.trial),
-                regions_analyzed: stats.regions_analyzed,
-                region_pruned: stats.region_pruned,
                 swept: sweep.examined,
                 sweep_illegal: sweep.certified_illegal,
                 sweep_pruned: sweep.certified_pruned,
@@ -746,83 +709,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_eval_preserves_search_results_bit_for_bit() {
+    fn only_multi_neighbor_starts_take_the_delta_path() {
+        // The P-method expands every direction of a start, so its starts
+        // are lowered once and their neighbors patched; the Q-method moves
+        // each start once, so each neighbor is lowered in full.
         let g = ops::gemm(256, 256, 256);
         let ev = Evaluator::new(Device::Gpu(v100()));
-        for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
-            let off = search(&g, &ev, m, &quick_opts(10)).unwrap();
-            let mut opts = quick_opts(10);
-            opts.delta_eval = true;
-            let on = search(&g, &ev, m, &opts).unwrap();
-            // The delta path is bit-identical by construction, so the
-            // whole search trajectory must be unchanged — same best point,
-            // same cost bits, same trace, same time accounting.
-            assert_eq!(on.best.encode(), off.best.encode(), "{m}");
-            assert_eq!(
-                on.best_cost.seconds.to_bits(),
-                off.best_cost.seconds.to_bits(),
-                "{m}"
-            );
-            assert_eq!(on.trace, off.trace, "{m}");
-            assert_eq!(on.measurements, off.measurements, "{m}");
-            assert_eq!(on.eval_stats.evaluated, off.eval_stats.evaluated, "{m}");
-            // And the fast path must actually be exercised.
-            assert_eq!(off.eval_stats.delta_hits, 0, "{m}");
-            assert!(on.eval_stats.delta_hits > 0, "{m}: delta path never ran");
-            assert_eq!(
-                on.eval_stats.delta_hits + on.eval_stats.delta_full,
-                on.eval_stats.evaluated,
-                "{m}"
-            );
-        }
-    }
-
-    #[test]
-    fn delta_eval_composes_with_the_analyzer_gate() {
-        let g = ops::gemm(256, 256, 256);
-        let ev = Evaluator::new(Device::Gpu(v100()));
-        let mut gated = quick_opts(10);
-        gated.analyzer_gate = true;
-        let off = search(&g, &ev, Method::QMethod, &gated).unwrap();
-        let mut both = gated.clone();
-        both.delta_eval = true;
-        let on = search(&g, &ev, Method::QMethod, &both).unwrap();
-        assert_eq!(on.best.encode(), off.best.encode());
-        assert_eq!(
-            on.best_cost.seconds.to_bits(),
-            off.best_cost.seconds.to_bits()
-        );
-        assert_eq!(on.eval_stats.pruned, off.eval_stats.pruned);
-        assert!(on.eval_stats.delta_hits > 0);
-    }
-
-    #[test]
-    fn delta_search_traces_still_replay_exactly() {
-        use flextensor_telemetry::{replay, MemorySink};
-        use std::sync::Arc;
-
-        let g = ops::gemm(256, 256, 256);
-        let ev = Evaluator::new(Device::Gpu(v100()));
-        let sink = Arc::new(MemorySink::new());
-        let mut opts = quick_opts(6);
-        opts.delta_eval = true;
-        opts.telemetry = Telemetry::new(sink.clone());
-        let r = search(&g, &ev, Method::QMethod, &opts).unwrap();
-
-        let events = sink.events();
-        let rep = replay::replay(&events).unwrap();
-        assert!(rep.summary_matches(), "{:#?}", rep.replayed);
-        match rep.delta {
-            Some(TraceEvent::DeltaStats {
-                delta_hits,
-                delta_full,
-                ..
-            }) => {
-                assert_eq!(delta_hits, r.eval_stats.delta_hits);
-                assert_eq!(delta_full, r.eval_stats.delta_full);
-                assert!(delta_hits > 0);
-            }
-            other => panic!("delta run must record delta_stats, got {other:?}"),
+        for m in [Method::QMethod, Method::PMethod] {
+            let s = search(&g, &ev, m, &quick_opts(10)).unwrap().eval_stats;
+            assert_eq!(s.delta_hits + s.delta_full, s.evaluated, "{m}");
+            assert_eq!(s.delta_hits > 0, m == Method::PMethod, "{m}: {s:?}");
         }
     }
 
@@ -852,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn region_gate_preserves_search_results() {
+    fn region_sweep_leaves_the_search_untouched() {
         let g = ops::gemm(256, 256, 256);
         let ev = Evaluator::new(Device::Gpu(v100()));
         for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
@@ -860,28 +756,16 @@ mod tests {
             let mut opts = quick_opts(10);
             opts.region_gate = true;
             let on = search(&g, &ev, m, &opts).unwrap();
-            // The gate only rejects members of regions certified
-            // statically illegal — points the evaluator scores `None`
-            // anyway — so the search trajectory is bit-identical.
+            // The sweep runs after the search and evaluates nothing, so
+            // the whole trajectory is bit-identical.
             assert_eq!(on.best.encode(), off.best.encode(), "{m}");
             assert_eq!(
                 on.best_cost.seconds.to_bits(),
                 off.best_cost.seconds.to_bits(),
                 "{m}"
             );
-            // Pruned members were never billed as modeled measurements.
-            assert_eq!(off.eval_stats.region_pruned, 0, "{m}");
-            assert_eq!(off.eval_stats.regions_analyzed, 0, "{m}");
-            assert!(
-                on.eval_stats.region_pruned > 0,
-                "{m}: region gate never fired"
-            );
-            assert!(on.eval_stats.regions_analyzed > 0, "{m}");
-            assert_eq!(
-                on.measurements + on.eval_stats.pruned,
-                off.measurements,
-                "{m}"
-            );
+            assert_eq!(on.trace, off.trace, "{m}");
+            assert_eq!(on.eval_stats.evaluated, off.eval_stats.evaluated, "{m}");
             // The certification sweep ran and its counters are sane.
             assert_eq!(off.region_sweep, None, "{m}");
             let sweep = on.region_sweep.expect("gated run must sweep");
@@ -894,26 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn region_gate_composes_with_analyzer_gate_and_delta_eval() {
-        let g = ops::gemm(256, 256, 256);
-        let ev = Evaluator::new(Device::Gpu(v100()));
-        let off = search(&g, &ev, Method::QMethod, &quick_opts(10)).unwrap();
-        let mut opts = quick_opts(10);
-        opts.region_gate = true;
-        opts.analyzer_gate = true;
-        opts.delta_eval = true;
-        let on = search(&g, &ev, Method::QMethod, &opts).unwrap();
-        assert_eq!(on.best.encode(), off.best.encode());
-        assert_eq!(
-            on.best_cost.seconds.to_bits(),
-            off.best_cost.seconds.to_bits()
-        );
-        assert!(on.eval_stats.region_pruned > 0);
-        assert!(on.eval_stats.delta_hits > 0);
-    }
-
-    #[test]
-    fn region_gated_search_traces_still_replay_exactly() {
+    fn region_sweep_traces_still_replay_exactly() {
         use flextensor_telemetry::{replay, MemorySink};
         use std::sync::Arc;
 
@@ -930,8 +795,6 @@ mod tests {
         assert!(rep.summary_matches(), "{:#?}", rep.replayed);
         match rep.region {
             Some(TraceEvent::RegionStats {
-                regions_analyzed,
-                region_pruned,
                 swept,
                 sweep_illegal,
                 sweep_pruned,
@@ -939,9 +802,6 @@ mod tests {
                 sweep_truncated,
                 ..
             }) => {
-                assert_eq!(regions_analyzed, r.eval_stats.regions_analyzed);
-                assert_eq!(region_pruned, r.eval_stats.region_pruned);
-                assert!(region_pruned > 0);
                 let sweep = r.region_sweep.unwrap();
                 assert_eq!(swept, sweep.examined);
                 assert_eq!(sweep_illegal, sweep.certified_illegal);
@@ -949,9 +809,9 @@ mod tests {
                 assert_eq!(sweep_open, sweep.open);
                 assert_eq!(sweep_truncated, sweep.truncated);
             }
-            other => panic!("region-gated run must record region_stats, got {other:?}"),
+            other => panic!("a swept run must record region_stats, got {other:?}"),
         }
-        // An ungated trace carries no region record at all.
+        // A run without the sweep carries no region record at all.
         let sink2 = Arc::new(MemorySink::new());
         let mut plain = quick_opts(6);
         plain.telemetry = Telemetry::new(sink2.clone());

@@ -22,7 +22,9 @@
 //! [`Evaluator::time_features`] right where its features are derived.
 //! Memo keys are hashed once per candidate, and neighbor batches derive
 //! each candidate's key from its base's key by patching only the changed
-//! words ([`NodeConfig::encode_delta_into`]).
+//! words ([`NodeConfig::encode_delta_into`]). Neighbor batches also lower
+//! each base with two or more fresh neighbors once and patch only the
+//! features a neighbor's move can affect ([`EvalPool::evaluate_batch_delta`]).
 //!
 //! Determinism argument: the evaluator is a pure function of
 //! `(graph, config)`, candidate batches are constructed before any
@@ -250,30 +252,20 @@ pub struct EvalStats {
     pub cache_hits: usize,
     /// Lookups that required a fresh evaluation.
     pub cache_misses: usize,
-    /// Candidates a static gate (the analyzer gate or the region gate)
-    /// rejected before the cost model ran (always 0 when both gates are
-    /// off).
+    /// Candidates the analyzer gate rejected before the cost model ran
+    /// (always 0 when the gate is off).
     pub pruned: usize,
-    /// Candidates the region gate rejected because their power-of-two
-    /// factor box was certified statically illegal (always 0 when the
-    /// region gate is off). A subset of `pruned`.
-    pub region_pruned: usize,
-    /// Distinct candidate regions the region gate analyzed (always 0 when
-    /// the region gate is off).
-    pub regions_analyzed: usize,
     /// Worker threads used for evaluation.
     pub workers: usize,
     /// Real time spent inside batched evaluation, seconds.
     pub wall_clock_s: f64,
-    /// Fresh evaluations served by the incremental (delta) fast path
-    /// (always 0 when the pool was not built with
-    /// [`EvalPool::new_delta`]). For delta pools,
+    /// Fresh evaluations whose features were patched from their base's
+    /// ([`EvalPool::evaluate_batch_delta`]).
     /// `delta_hits + delta_full == evaluated`.
     pub delta_hits: usize,
-    /// Fresh evaluations in a delta pool that needed the full feature
-    /// recompute (no base available, `inline_data` flips, or plain
-    /// batches without neighbor structure). Always 0 when delta
-    /// evaluation is off.
+    /// Fresh evaluations whose features were lowered in full: plain
+    /// batches, a base with fewer than two fresh neighbors, a base that
+    /// does not validate, `inline_data` flips, and reference pools.
     pub delta_full: usize,
 }
 
@@ -288,8 +280,6 @@ impl EvalStats {
     ///     cache_hits: 10,
     ///     cache_misses: 40,
     ///     pruned: 0,
-    ///     region_pruned: 0,
-    ///     regions_analyzed: 0,
     ///     workers: 4,
     ///     wall_clock_s: 0.2,
     ///     delta_hits: 0,
@@ -346,109 +336,16 @@ struct EvalCtx {
     /// candidate would have evaluated to `None` anyway, so gating never
     /// changes a cost — only whether modeled measurement time is spent.
     analyzer_gate: bool,
-    /// When `true` ([`EvalPool::new_delta`]), batches that carry neighbor
-    /// structure ([`EvalPool::evaluate_batch_delta`]) evaluate candidates
-    /// incrementally from their base's features. Bit-identical to the
-    /// plain path (`flextensor_schedule::delta` invariants); only the
-    /// work per candidate changes.
-    delta_eval: bool,
-    /// Batches with at most this many fresh evaluations run on the
-    /// coordinator instead of fanning out ([`INLINE_BATCH`] for
-    /// template-path pools, 1 for reference pools; tests force 0 to
-    /// exercise the fan-out path on small batches).
-    inline_batch: usize,
-    /// Live interval region gate ([`EvalPool::new_region_gated`]): when
-    /// present, each fresh candidate is bucketed into its power-of-two
-    /// factor box and skipped when `flextensor_analyze::analyze_region`
-    /// certifies the whole box statically illegal. Sound by
-    /// [`RegionVerdict::Illegal`]'s contract — every member of an illegal
-    /// region (the candidate included) evaluates to `None` — so gating
-    /// never changes a cost, only whether modeled measurement time is
-    /// spent.
-    region_gate: Option<RegionGateState>,
-}
-
-/// Shared state of the live region gate: a verdict memo keyed by the
-/// region's bucket signature, plus the prune tally. Verdicts are a pure
-/// function of the bucket key, so concurrent workers computing the same
-/// bucket insert the same value — counters derived from the memo are
-/// deterministic in the worker count.
-///
-/// A poisoned memo lock is recovered, not propagated: the map holds plain
-/// `bool` verdicts and `analyze_region` runs outside the lock, so every
-/// update is a single insert and the map is valid whenever the lock is
-/// released.
-struct RegionGateState {
-    /// Bucket signature → "the whole region is statically illegal".
-    memo: Mutex<FnvMap<Vec<i64>, bool>>,
-    /// Fresh candidates skipped because their region proved illegal.
-    pruned: AtomicUsize,
-}
-
-/// The inclusive power-of-two bucket `[2^b, 2^(b+1) - 1]` a split factor
-/// falls in. Every factor of the same bucket shares the same region, so
-/// one interval analysis covers all of them.
-fn pow2_bucket(f: i64) -> (i64, i64) {
-    let b = 63 - (f.max(1) as u64).leading_zeros();
-    (1i64 << b, (1i64 << (b + 1)) - 1)
-}
-
-/// The canonical signature of `cfg`'s bucket region: flags, discrete
-/// coordinates, and the per-(axis, level) bucket exponents. Two configs
-/// share a signature iff [`region_bucket`] builds the same region.
-fn region_bucket_key(cfg: &NodeConfig) -> Vec<i64> {
-    let n: usize = cfg.spatial_splits.iter().map(Vec::len).sum::<usize>()
-        + cfg.reduce_splits.iter().map(Vec::len).sum::<usize>()
-        + cfg.reorder.len()
-        + 4;
-    let mut key = Vec::with_capacity(n);
-    key.push(
-        (cfg.unroll as i64)
-            | ((cfg.vectorize as i64) << 1)
-            | ((cfg.cache_shared as i64) << 2)
-            | ((cfg.inline_data as i64) << 3),
-    );
-    key.push(cfg.fuse_outer as i64);
-    key.push(cfg.fpga_partition);
-    key.push(cfg.fpga_pipeline);
-    key.extend(cfg.reorder.iter().map(|&r| r as i64));
-    for row in cfg.spatial_splits.iter().chain(&cfg.reduce_splits) {
-        key.extend(row.iter().map(|&f| pow2_bucket(f).0));
-    }
-    key
-}
-
-/// The power-of-two factor box around `cfg`: each split factor widens to
-/// its [`pow2_bucket`]; flags and discrete coordinates stay fixed. `cfg`
-/// is a member of the result by construction, so an
-/// [`RegionVerdict::Illegal`](flextensor_analyze::RegionVerdict) verdict
-/// for the box proves the evaluator scores `cfg` itself `None`.
-fn region_bucket(cfg: &NodeConfig) -> Option<flextensor_analyze::Region> {
-    let ranges = |rows: &[Vec<i64>]| -> Vec<Vec<(i64, i64)>> {
-        rows.iter()
-            .map(|row| row.iter().map(|&f| pow2_bucket(f)).collect())
-            .collect()
-    };
-    flextensor_analyze::Region::from_ranges(
-        cfg.clone(),
-        ranges(&cfg.spatial_splits),
-        ranges(&cfg.reduce_splits),
-        flextensor_analyze::FlagChoice::Fixed(cfg.unroll),
-        flextensor_analyze::FlagChoice::Fixed(cfg.vectorize),
-        flextensor_analyze::FlagChoice::Fixed(cfg.cache_shared),
-        flextensor_analyze::FlagChoice::Fixed(cfg.inline_data),
-    )
-    .ok()
 }
 
 impl EvalCtx {
-    /// Evaluates one point: derives its features — incrementally from
-    /// `base` when delta evaluation is on and a base is available — and
-    /// scores them with [`Evaluator::time_features`]. Returns the
-    /// `(cost, pruned, took_delta)` triple the reduction step consumes:
-    /// `pruned` when a static gate (or a config-level legality error on a
-    /// gated pool) rejected the point before the cost model, `took_delta`
-    /// when the incremental feature path served it.
+    /// Evaluates one point: derives its features — patched from `base`'s
+    /// when the batch resolved one for it — and scores them with
+    /// [`Evaluator::time_features`]. Returns the `(cost, pruned,
+    /// took_delta)` triple the reduction step consumes: `pruned` when the
+    /// analyzer gate (or a config-level legality error on a gated pool)
+    /// rejected the point before the cost model, `took_delta` when the
+    /// incremental feature path served it.
     ///
     /// The delta/full decision is a pure function of `(base, cfg)` — it
     /// never depends on which worker runs the item or in what order — so
@@ -459,15 +356,12 @@ impl EvalCtx {
         base: Option<&(NodeConfig, KernelFeatures)>,
         scratch: &mut DeltaScratch,
     ) -> (Option<Cost>, bool, bool) {
-        if self.region_rejects(cfg) {
-            return (None, true, false);
-        }
-        let features = match (self.delta_eval, base) {
-            (true, Some((base_cfg, base_features))) => {
+        let features = match base {
+            Some((base_cfg, base_features)) => {
                 delta_features_with(&self.template, base_cfg, base_features, cfg, scratch).ok()
             }
-            _ if self.use_template => self.template.features(cfg).ok().map(|f| (f, false)),
-            _ => {
+            None if self.use_template => self.template.features(cfg).ok().map(|f| (f, false)),
+            None => {
                 let target = self.evaluator.target();
                 flextensor_schedule::lower::lower(&self.graph, cfg, target)
                     .ok()
@@ -490,53 +384,6 @@ impl EvalCtx {
             .time_features(&features)
             .map(|seconds| Cost { seconds, flops });
         (cost, false, took_delta)
-    }
-
-    /// The live region gate: buckets `cfg` into the power-of-two factor
-    /// box around it (flags and discrete coordinates fixed to `cfg`'s)
-    /// and rejects it when the whole box is certified statically illegal.
-    /// Verdicts are memoized per bucket, so the cost amortizes to one
-    /// interval analysis per visited region. The verdict — and therefore
-    /// the candidate's outcome and every counter — is a pure function of
-    /// `cfg`, independent of worker count and scheduling.
-    fn region_rejects(&self, cfg: &NodeConfig) -> bool {
-        let Some(gate) = &self.region_gate else {
-            return false;
-        };
-        let key = region_bucket_key(cfg);
-        let cached = gate
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .copied();
-        let illegal = match cached {
-            Some(v) => v,
-            None => {
-                let v = match region_bucket(cfg) {
-                    Some(region) => matches!(
-                        flextensor_analyze::analyze_region(
-                            &self.template,
-                            &region,
-                            &self.evaluator
-                        ),
-                        flextensor_analyze::RegionVerdict::Illegal(_)
-                    ),
-                    // A config the box constructor rejects (malformed split
-                    // shape) never prunes; the evaluator will verdict it.
-                    None => false,
-                };
-                gate.memo
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, v);
-                v
-            }
-        };
-        if illegal {
-            gate.pruned.fetch_add(1, Ordering::Relaxed);
-        }
-        illegal
     }
 
     /// Workload FLOPs, read from the active evaluation path (template
@@ -572,7 +419,7 @@ struct BatchJob {
 /// thread spawn per candidate.
 pub struct EvalPool {
     ctx: Arc<EvalCtx>,
-    cache: Arc<MemoCache>,
+    cache: MemoCache,
     workers: usize,
     senders: Vec<Sender<Arc<BatchJob>>>,
     done_rx: Option<Receiver<()>>,
@@ -582,6 +429,11 @@ pub struct EvalPool {
     delta_hits: usize,
     delta_full: usize,
     wall_clock: Duration,
+    /// Batches with at most this many fresh evaluations run on the
+    /// coordinator instead of fanning out ([`INLINE_BATCH`] for
+    /// template-path pools, 1 for reference pools; tests force 0 to
+    /// exercise the fan-out path on small batches).
+    inline_batch: usize,
     /// Batch scratch, reused so a steady-state batch allocates only its
     /// result vector: the flat key buffer (all candidate encodings back to
     /// back), the end offset of each key in it, the per-key hash (computed
@@ -624,12 +476,7 @@ impl EvalPool {
         workers: usize,
         cache_capacity: usize,
     ) -> EvalPool {
-        EvalPool::with_cache(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-        )
+        EvalPool::build(graph, evaluator, workers, cache_capacity, true, false)
     }
 
     /// A pool like [`EvalPool::new`] with the static analyzer gate
@@ -645,146 +492,31 @@ impl EvalPool {
         workers: usize,
         cache_capacity: usize,
     ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            true,
-            true,
-            false,
-            false,
-        )
-    }
-
-    /// A pool with the live interval **region gate** enabled: each fresh
-    /// candidate is bucketed into the power-of-two factor box around it,
-    /// the box is analyzed once through
-    /// [`flextensor_analyze::analyze_region`], and candidates whose whole
-    /// box is certified statically illegal are rejected *before* feature
-    /// lowering ([`EvalOutcome::pruned`], [`EvalStats::region_pruned`]).
-    /// Because an illegal region only contains candidates the evaluator
-    /// would have scored `None`, every returned cost is bit-identical to
-    /// an ungated pool's. `analyzer_gate` and `delta_eval` compose exactly
-    /// as in [`EvalPool::new_gated`] / [`EvalPool::new_delta`].
-    pub fn new_region_gated(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache_capacity: usize,
-        analyzer_gate: bool,
-        delta_eval: bool,
-    ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            true,
-            analyzer_gate,
-            delta_eval,
-            true,
-        )
-    }
-
-    /// A pool with incremental (delta) candidate evaluation enabled:
-    /// batches submitted through [`EvalPool::evaluate_batch_delta`]
-    /// recompute only the features a candidate's diff against its base
-    /// can affect, instead of the full feature set. Results are
-    /// bit-identical to a plain pool's (see `flextensor_schedule::delta`);
-    /// [`EvalStats::delta_hits`] / [`EvalStats::delta_full`] count how
-    /// often the fast path applied. `analyzer_gate` composes the static
-    /// pruning gate exactly as in [`EvalPool::new_gated`].
-    pub fn new_delta(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache_capacity: usize,
-        analyzer_gate: bool,
-    ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            true,
-            analyzer_gate,
-            true,
-            false,
-        )
+        EvalPool::build(graph, evaluator, workers, cache_capacity, true, true)
     }
 
     /// A reference pool that re-lowers every candidate from scratch
-    /// instead of applying the cached [`LoweredTemplate`]. Results are
-    /// bit-identical to [`EvalPool::new`] (both paths share one feature
-    /// computation); this exists so differential tests and the
-    /// `probe_perf` baseline can measure the fast path against it. Not
-    /// for production searches.
+    /// instead of applying the cached [`LoweredTemplate`], also in
+    /// neighbor batches. Results are bit-identical to [`EvalPool::new`]
+    /// (both paths share one feature computation); this exists so
+    /// differential tests and the `probe_perf` baseline can measure the
+    /// fast path against it. Not for production searches.
     pub fn new_reference(
         graph: &Graph,
         evaluator: &Evaluator,
         workers: usize,
         cache_capacity: usize,
     ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            false,
-            false,
-            false,
-            false,
-        )
+        EvalPool::build(graph, evaluator, workers, cache_capacity, false, false)
     }
 
-    /// A pool sharing an existing memo cache (e.g. across searches over
-    /// the same graph and device).
-    pub fn with_cache(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache: Arc<MemoCache>,
-    ) -> EvalPool {
-        EvalPool::build(graph, evaluator, workers, cache, true, false, false, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn build(
         graph: &Graph,
         evaluator: &Evaluator,
         workers: usize,
-        cache: Arc<MemoCache>,
+        cache_capacity: usize,
         use_template: bool,
         analyzer_gate: bool,
-        delta_eval: bool,
-        region_gate: bool,
-    ) -> EvalPool {
-        let inline_batch = if use_template { INLINE_BATCH } else { 1 };
-        EvalPool::build_with_inline(
-            graph,
-            evaluator,
-            workers,
-            cache,
-            use_template,
-            analyzer_gate,
-            delta_eval,
-            region_gate,
-            inline_batch,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_with_inline(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache: Arc<MemoCache>,
-        use_template: bool,
-        analyzer_gate: bool,
-        delta_eval: bool,
-        region_gate: bool,
-        inline_batch: usize,
     ) -> EvalPool {
         let workers = resolve_workers(workers);
         let ctx = Arc::new(EvalCtx {
@@ -793,12 +525,6 @@ impl EvalPool {
             template: LoweredTemplate::new(graph, evaluator.target()),
             use_template,
             analyzer_gate,
-            delta_eval,
-            inline_batch,
-            region_gate: region_gate.then(|| RegionGateState {
-                memo: Mutex::new(FnvMap::default()),
-                pruned: AtomicUsize::new(0),
-            }),
         });
         let mut senders = Vec::new();
         let mut handles = Vec::new();
@@ -840,7 +566,7 @@ impl EvalPool {
         }
         EvalPool {
             ctx,
-            cache,
+            cache: MemoCache::new(cache_capacity),
             workers,
             senders,
             done_rx,
@@ -850,6 +576,7 @@ impl EvalPool {
             delta_hits: 0,
             delta_full: 0,
             wall_clock: Duration::ZERO,
+            inline_batch: if use_template { INLINE_BATCH } else { 1 },
             key_buf: Vec::new(),
             key_ends: Vec::new(),
             key_hashes: Vec::new(),
@@ -876,20 +603,8 @@ impl EvalPool {
         self.ctx.analyzer_gate
     }
 
-    /// Whether incremental (delta) evaluation is enabled
-    /// ([`EvalPool::new_delta`]).
-    pub fn delta_eval(&self) -> bool {
-        self.ctx.delta_eval
-    }
-
-    /// Whether the live interval region gate is enabled
-    /// ([`EvalPool::new_region_gated`]).
-    pub fn region_gate(&self) -> bool {
-        self.ctx.region_gate.is_some()
-    }
-
     /// The memo cache in front of the evaluator.
-    pub fn cache(&self) -> &Arc<MemoCache> {
+    pub fn cache(&self) -> &MemoCache {
         &self.cache
     }
 
@@ -906,11 +621,16 @@ impl EvalPool {
     /// of `bases` by a single schedule move: `base_of[i]` names the base
     /// (an index into `bases`) candidate `configs[i]` was derived from.
     ///
-    /// On a delta pool ([`EvalPool::new_delta`]) each base's features are
-    /// computed once on the coordinator and every fresh candidate is then
-    /// evaluated incrementally from its base. On a non-delta pool (or for
-    /// a base that does not validate) the batch degrades to the plain
-    /// path. Either way the outcomes are bit-identical to
+    /// A base with at least two fresh (uncached, not in-batch duplicate)
+    /// neighbors is lowered once on the coordinator, and each of those
+    /// neighbors is then evaluated incrementally from its base's
+    /// features. A base with one fresh neighbor has that neighbor lowered
+    /// in full, since one full lowering costs less than a base lowering
+    /// plus a patch; so do neighbors of a base that does not validate, and
+    /// every candidate in a reference pool. The rule is a pure function of
+    /// the batch and the cache, so [`EvalStats::delta_hits`] and
+    /// [`EvalStats::delta_full`] are deterministic in the worker count.
+    /// Either way the outcomes are bit-identical to
     /// [`EvalPool::evaluate_batch`] on the same configs.
     ///
     /// # Panics
@@ -1023,25 +743,27 @@ impl EvalPool {
         }
 
         // Resolve delta bases once, on the coordinator: one full feature
-        // computation per distinct base, amortized over all its neighbors.
-        // Bases that do not validate resolve to `None` and their neighbors
-        // fall back to the full path.
+        // computation per base with at least two fresh neighbors, amortized
+        // over them. A lone fresh neighbor is lowered in full instead, which
+        // is cheaper than lowering its base and then patching. Bases that do
+        // not validate resolve to `None` and their neighbors fall back to
+        // the full path.
         let mut job_bases: Vec<(NodeConfig, KernelFeatures)> = Vec::new();
         let mut base_idx: Vec<Option<usize>> = vec![None; work.len()];
-        if let Some((base_of, bases)) = delta {
-            if self.ctx.delta_eval {
-                // Lazily, so bases whose neighbors were all answered from
-                // the cache cost nothing.
-                let mut resolved: Vec<Option<Option<usize>>> = vec![None; bases.len()];
-                for (slot, &i) in base_idx.iter_mut().zip(&work) {
-                    let bi = base_of[i];
-                    if resolved[bi].is_none() {
-                        resolved[bi] = Some(self.ctx.template.features(&bases[bi]).ok().map(|f| {
-                            job_bases.push((bases[bi].clone(), f));
-                            job_bases.len() - 1
-                        }));
-                    }
-                    *slot = resolved[bi].expect("just resolved");
+        if let Some((base_of, bases)) = delta.filter(|_| self.ctx.use_template) {
+            let mut fresh_of = vec![0usize; bases.len()];
+            for &i in &work {
+                fresh_of[base_of[i]] += 1;
+            }
+            let mut resolved: Vec<Option<Option<usize>>> = vec![None; bases.len()];
+            for (slot, &i) in base_idx.iter_mut().zip(&work) {
+                let bi = base_of[i];
+                if fresh_of[bi] >= 2 {
+                    *slot = *resolved[bi].get_or_insert_with(|| {
+                        let f = self.ctx.template.features(&bases[bi]).ok()?;
+                        job_bases.push((bases[bi].clone(), f));
+                        Some(job_bases.len() - 1)
+                    });
                 }
             }
         }
@@ -1050,7 +772,7 @@ impl EvalPool {
         // amortize dispatch (see [`INLINE_BATCH`]), fanned out over the
         // persistent workers otherwise.
         let fresh: Vec<(Option<Cost>, bool, bool)> = if self.senders.is_empty()
-            || work.len() <= self.ctx.inline_batch.max(1)
+            || work.len() <= self.inline_batch.max(1)
         {
             let ctx = &self.ctx;
             let scratch = &mut self.inline_scratch;
@@ -1117,13 +839,11 @@ impl EvalPool {
         self.cache.count_misses(work.len());
         self.evaluated += work.len();
         self.pruned += fresh.iter().filter(|&&(_, pruned, _)| pruned).count();
-        if self.ctx.delta_eval {
-            // Every fresh evaluation in a delta pool is either a delta hit
-            // or a full recompute: delta_hits + delta_full == evaluated.
-            let taken = fresh.iter().filter(|&&(_, _, d)| d).count();
-            self.delta_hits += taken;
-            self.delta_full += fresh.len() - taken;
-        }
+        // Every fresh evaluation is either a delta hit or a full lowering:
+        // delta_hits + delta_full == evaluated.
+        let taken = fresh.iter().filter(|&&(_, _, d)| d).count();
+        self.delta_hits += taken;
+        self.delta_full += fresh.len() - taken;
         self.wall_clock += t0.elapsed();
 
         out.into_iter()
@@ -1138,23 +858,11 @@ impl EvalPool {
 
     /// A snapshot of this pool's statistics.
     pub fn stats(&self) -> EvalStats {
-        let (region_pruned, regions_analyzed) = match &self.ctx.region_gate {
-            Some(gate) => (
-                gate.pruned.load(Ordering::Relaxed),
-                gate.memo
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len(),
-            ),
-            None => (0, 0),
-        };
         EvalStats {
             evaluated: self.evaluated,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             pruned: self.pruned,
-            region_pruned,
-            regions_analyzed,
             workers: self.workers,
             wall_clock_s: self.wall_clock.as_secs_f64(),
             delta_hits: self.delta_hits,
@@ -1192,17 +900,6 @@ impl EvalPool {
             telemetry.emit(TraceEvent::AnalyzerStats {
                 trial,
                 pruned: s.pruned,
-            });
-        }
-        // Delta pools additionally record the incremental-evaluation
-        // tally, mirroring the analyzer-stats opt-in: traces from
-        // non-delta runs (including every committed fixture) are unchanged
-        // byte for byte.
-        if self.ctx.delta_eval {
-            telemetry.emit(TraceEvent::DeltaStats {
-                trial,
-                delta_hits: s.delta_hits,
-                delta_full: s.delta_full,
             });
         }
     }
@@ -1415,10 +1112,9 @@ mod tests {
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         let mut counter_runs = Vec::new();
         for workers in [1, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, false);
-            assert!(pool.delta_eval());
+            let mut pool = EvalPool::new(&g, &ev, workers, 1 << 16);
             let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
-            assert_eq!(outcomes, plain, "delta pool must be bit-identical");
+            assert_eq!(outcomes, plain, "delta batches must be bit-identical");
             let s = pool.stats();
             assert_eq!(s.delta_hits + s.delta_full, s.evaluated);
             assert!(s.delta_hits > 0, "neighbor batches must take the fast path");
@@ -1439,24 +1135,16 @@ mod tests {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 9, 4);
-        let make = |delta: bool, inline_batch: usize| {
-            EvalPool::build_with_inline(
-                &g,
-                &ev,
-                4,
-                Arc::new(MemoCache::new(1 << 16)),
-                true,
-                false,
-                delta,
-                false,
-                inline_batch,
-            )
+        let make = |inline_batch: usize| {
+            let mut pool = EvalPool::new(&g, &ev, 4, 1 << 16);
+            pool.inline_batch = inline_batch;
+            pool
         };
-        let inline_plain = make(false, INLINE_BATCH).evaluate_batch(&cands);
-        let fanned_plain = make(false, 0).evaluate_batch(&cands);
+        let inline_plain = make(INLINE_BATCH).evaluate_batch(&cands);
+        let fanned_plain = make(0).evaluate_batch(&cands);
         assert_eq!(inline_plain, fanned_plain);
-        let mut inline_pool = make(true, INLINE_BATCH);
-        let mut fanned_pool = make(true, 0);
+        let mut inline_pool = make(INLINE_BATCH);
+        let mut fanned_pool = make(0);
         assert_eq!(
             inline_pool.evaluate_batch_delta(&cands, &base_of, &bases),
             fanned_pool.evaluate_batch_delta(&cands, &base_of, &bases),
@@ -1475,7 +1163,7 @@ mod tests {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 10, 4);
-        let mut pool = EvalPool::new_delta(&g, &ev, 1, 1 << 16, false);
+        let mut pool = EvalPool::new(&g, &ev, 1, 1 << 16);
         let via_delta = pool.evaluate_batch_delta(&cands, &base_of, &bases);
         let evaluated = pool.stats().evaluated;
         let via_plain = pool.evaluate_batch(&cands);
@@ -1541,59 +1229,66 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_region_memo_is_recovered() {
-        let (g, ev) = setup();
-        let space = crate::space::Space::new(&g, ev.target());
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut cands: Vec<_> = (0..40).map(|_| space.random_point(&mut rng)).collect();
-        // Thread blocks of 2048 and 4096 threads: every member of their
-        // power-of-two boxes exceeds the V100's 1024, so the gate prunes.
-        for threads in [[32, 64], [64, 64]] {
-            let mut bad = NodeConfig::naive(g.root_op());
-            bad.spatial_splits = vec![
-                vec![1, 1, threads[0], 64 / threads[0]],
-                vec![1, 1, threads[1], 64 / threads[1]],
-            ];
-            cands.push(bad);
-        }
-        let gated = |workers| EvalPool::new_region_gated(&g, &ev, workers, 1 << 16, false, false);
-        let mut healthy = gated(1);
-        let expected = healthy.evaluate_batch(&cands);
-        assert!(
-            healthy.stats().region_pruned > 0,
-            "the batch must exercise the gate"
-        );
-        for workers in [1, 4] {
-            let mut pool = gated(workers);
-            let memo = &pool.ctx.region_gate.as_ref().unwrap().memo;
-            let panicked = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _guard = memo.lock().unwrap();
-                    panic!("panic while holding the region memo");
-                })
-                .join()
-                .is_err()
-            });
-            assert!(panicked && memo.is_poisoned());
-            assert_eq!(pool.evaluate_batch(&cands), expected);
-            let (s, h) = (pool.stats(), healthy.stats());
-            assert_eq!(s.region_pruned, h.region_pruned);
-            assert_eq!(s.regions_analyzed, h.regions_analyzed);
-        }
-    }
-
-    #[test]
-    fn delta_pool_without_bases_behaves_like_a_plain_pool() {
+    fn plain_batches_lower_every_candidate_in_full() {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let mut rng = StdRng::seed_from_u64(7);
         let cands: Vec<_> = (0..16).map(|_| space.random_point(&mut rng)).collect();
-        let plain = EvalPool::new(&g, &ev, 4, 1 << 16).evaluate_batch(&cands);
-        let mut pool = EvalPool::new_delta(&g, &ev, 4, 1 << 16, false);
-        assert_eq!(pool.evaluate_batch(&cands), plain);
+        let mut pool = EvalPool::new(&g, &ev, 4, 1 << 16);
+        pool.evaluate_batch(&cands);
         let s = pool.stats();
         assert_eq!(s.delta_hits, 0);
         assert_eq!(s.delta_full, s.evaluated);
+    }
+
+    /// The delta rule: a base is lowered and its neighbors patched only
+    /// when at least two of them are fresh misses in the batch. One base
+    /// has a single fresh neighbor (lowered in full), one has several
+    /// (patched), and one has only cache hits (never lowered).
+    #[test]
+    fn only_bases_with_two_or_more_fresh_neighbors_are_patched() {
+        let (g, ev) = setup();
+        let space = crate::space::Space::new(&g, ev.target());
+        let mut rng = StdRng::seed_from_u64(12);
+        let bases: Vec<_> = (0..3).map(|_| space.random_point(&mut rng)).collect();
+        // Same-`inline_data` moves only: a load-group swap always takes the
+        // full path, which would blur the rule's counts.
+        let neighbors = |b: &NodeConfig| -> Vec<NodeConfig> {
+            space
+                .directions()
+                .iter()
+                .filter_map(|&dir| space.apply(b, dir))
+                .filter(|n| n.inline_data == b.inline_data)
+                .collect()
+        };
+        let several = neighbors(&bases[1]);
+        let cached = neighbors(&bases[2]);
+        assert!(several.len() >= 3 && cached.len() >= 2);
+        let mut configs = vec![neighbors(&bases[0])[0].clone()];
+        let mut base_of = vec![0];
+        configs.extend(several.iter().cloned());
+        base_of.extend(std::iter::repeat_n(1, several.len()));
+        configs.extend(cached.iter().cloned());
+        base_of.extend(std::iter::repeat_n(2, cached.len()));
+        let warmed = |workers| {
+            let mut pool = EvalPool::new(&g, &ev, workers, 1 << 16);
+            pool.evaluate_batch(&cached);
+            pool
+        };
+        let expected = warmed(1).evaluate_batch(&configs);
+        let mut counters = Vec::new();
+        for workers in [1, 2, 4] {
+            let mut pool = warmed(workers);
+            let warm = pool.stats();
+            let outcomes = pool.evaluate_batch_delta(&configs, &base_of, &bases);
+            assert_eq!(outcomes, expected, "workers {workers}");
+            let s = pool.stats();
+            assert_eq!(s.evaluated - warm.evaluated, 1 + several.len());
+            assert_eq!(s.delta_full - warm.delta_full, 1, "the singleton");
+            assert_eq!(s.delta_hits - warm.delta_hits, several.len());
+            counters.push((s.delta_hits, s.delta_full));
+        }
+        assert!(counters.windows(2).all(|w| w[0] == w[1]), "{counters:?}");
     }
 
     #[test]
@@ -1604,8 +1299,7 @@ mod tests {
         let mut gated = EvalPool::new_gated(&g, &ev, 1, 1 << 16);
         let expected = gated.evaluate_batch(&cands);
         for workers in [1, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, true);
-            assert!(pool.analyzer_gate() && pool.delta_eval());
+            let mut pool = EvalPool::new_gated(&g, &ev, workers, 1 << 16);
             let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
             assert_eq!(outcomes, expected);
             assert_eq!(pool.stats().pruned, gated.stats().pruned);

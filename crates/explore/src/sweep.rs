@@ -1,7 +1,8 @@
 //! End-of-search region certification sweep.
 //!
-//! After a region-gated search finishes, [`certify`] partitions the
-//! factor space around the incumbent's discrete coordinates into boxes
+//! After a search with `SearchOptions::region_gate` finishes, [`certify`]
+//! partitions the factor space around the incumbent's discrete
+//! coordinates into boxes
 //! ([`flextensor_analyze::Region`]s), asks
 //! [`flextensor_analyze::analyze_region`] for a verdict on each, and
 //! branch-and-bounds: a region whose certified lower bound exceeds the

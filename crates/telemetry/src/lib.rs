@@ -179,10 +179,10 @@ pub enum TraceEvent {
         pruned: usize,
     },
     /// Cumulative incremental-evaluation statistics after a batch.
-    /// Emitted only by delta-enabled evaluation pools, immediately after
-    /// the batch's [`TraceEvent::PoolStats`] (and, when gated, the
-    /// [`TraceEvent::AnalyzerStats`]) record; traces from non-delta runs
-    /// never contain it. For delta pools,
+    /// Read but no longer written: traces recorded while delta evaluation
+    /// was an opt-in carry it immediately after the batch's
+    /// [`TraceEvent::PoolStats`] (and, when gated, the
+    /// [`TraceEvent::AnalyzerStats`]) record. There,
     /// `delta_hits + delta_full == evaluated`.
     DeltaStats {
         /// Trial whose batch just completed.
@@ -194,19 +194,17 @@ pub enum TraceEvent {
         /// cumulative over the run.
         delta_full: usize,
     },
-    /// Region branch-and-bound statistics: live interval-gate counters
-    /// plus the end-of-search certification sweep. Emitted once per run,
-    /// immediately before [`TraceEvent::RunSummary`], only when
-    /// `SearchOptions::region_gate` is enabled; traces from ungated runs
-    /// never contain it. Every field is deterministic given the seed and
-    /// search options, so gated traces replay byte-identically.
+    /// Counters of the end-of-search region certification sweep. Emitted
+    /// once per run, immediately before [`TraceEvent::RunSummary`], only
+    /// when `SearchOptions::region_gate` is enabled; traces from runs
+    /// without the sweep never contain it. Every field is deterministic
+    /// given the seed and search options, so these traces replay
+    /// byte-identically. Older records also carry `regions_analyzed` and
+    /// `region_pruned` from a since-removed live gate; the reader ignores
+    /// them.
     RegionStats {
         /// Trial index of the last completed trial.
         trial: usize,
-        /// Distinct candidate regions analyzed by the live gate.
-        regions_analyzed: usize,
-        /// Candidates skipped because their region is statically illegal.
-        region_pruned: usize,
         /// Regions examined by the certification sweep.
         swept: usize,
         /// Sweep regions certified empty (no legal member schedule).
@@ -468,8 +466,6 @@ impl TraceEvent {
             }
             TraceEvent::RegionStats {
                 trial,
-                regions_analyzed,
-                region_pruned,
                 swept,
                 sweep_illegal,
                 sweep_pruned,
@@ -478,7 +474,7 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    ",\"trial\":{trial},\"regions_analyzed\":{regions_analyzed},\"region_pruned\":{region_pruned},\"swept\":{swept},\"sweep_illegal\":{sweep_illegal},\"sweep_pruned\":{sweep_pruned},\"sweep_open\":{sweep_open},\"sweep_truncated\":{sweep_truncated}"
+                    ",\"trial\":{trial},\"swept\":{swept},\"sweep_illegal\":{sweep_illegal},\"sweep_pruned\":{sweep_pruned},\"sweep_open\":{sweep_open},\"sweep_truncated\":{sweep_truncated}"
                 );
             }
             TraceEvent::DbStats {
@@ -646,8 +642,6 @@ impl TraceEvent {
             },
             "region_stats" => TraceEvent::RegionStats {
                 trial: field(v.get_usize("trial"))?,
-                regions_analyzed: field(v.get_usize("regions_analyzed"))?,
-                region_pruned: field(v.get_usize("region_pruned"))?,
                 swept: field(v.get_usize("swept"))?,
                 sweep_illegal: field(v.get_usize("sweep_illegal"))?,
                 sweep_pruned: field(v.get_usize("sweep_pruned"))?,
@@ -1014,8 +1008,6 @@ mod tests {
             },
             TraceEvent::RegionStats {
                 trial: 3,
-                regions_analyzed: 7,
-                region_pruned: 4,
                 swept: 129,
                 sweep_illegal: 63,
                 sweep_pruned: 41,
@@ -1081,6 +1073,24 @@ mod tests {
             let back = TraceEvent::from_jsonl(&line).unwrap();
             assert_eq!(back, ev, "line: {line}");
         }
+    }
+
+    #[test]
+    fn region_stats_written_with_the_live_gate_counters_still_parse() {
+        let line = "{\"v\":1,\"type\":\"region_stats\",\"trial\":12,\"regions_analyzed\":51,\
+                    \"region_pruned\":4,\"swept\":4096,\"sweep_illegal\":1968,\
+                    \"sweep_pruned\":76,\"sweep_open\":9,\"sweep_truncated\":true}";
+        assert_eq!(
+            TraceEvent::from_jsonl(line).unwrap(),
+            TraceEvent::RegionStats {
+                trial: 12,
+                swept: 4096,
+                sweep_illegal: 1968,
+                sweep_pruned: 76,
+                sweep_open: 9,
+                sweep_truncated: true,
+            }
+        );
     }
 
     #[test]

@@ -108,10 +108,10 @@ pub struct Replay {
     /// in traces of gate-enabled runs).
     pub analyzer: Option<TraceEvent>,
     /// The last recorded incremental-evaluation statistics, if any (only
-    /// present in traces of delta-enabled runs).
+    /// present in traces recorded while delta evaluation was an opt-in).
     pub delta: Option<TraceEvent>,
-    /// The recorded region branch-and-bound statistics, if any (only
-    /// present in traces of region-gated runs).
+    /// The recorded region certification-sweep statistics, if any (only
+    /// present in traces of runs with `SearchOptions::region_gate`).
     pub region: Option<TraceEvent>,
     /// The last recorded schedule-database statistics, if any (only
     /// present in traces emitted through the session server).
@@ -551,8 +551,6 @@ mod tests {
         let summary_at = events.len() - 1;
         let stats = TraceEvent::RegionStats {
             trial: 2,
-            regions_analyzed: 3,
-            region_pruned: 1,
             swept: 17,
             sweep_illegal: 9,
             sweep_pruned: 5,

@@ -257,7 +257,7 @@ proptest! {
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         let mut counters = Vec::new();
         for workers in [1usize, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, false);
+            let mut pool = EvalPool::new(&g, &ev, workers, 1 << 16);
             let out = pool.evaluate_batch_delta(&cands, &base_of, &bases);
             prop_assert_eq!(&out, &plain, "workers {}", workers);
             let s = pool.stats();
