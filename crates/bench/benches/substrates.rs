@@ -1,19 +1,21 @@
 //! Criterion micro-benchmarks over the substrates whose speed determines
 //! exploration cost: lowering, cost-model evaluation, space operations,
-//! the Q-network training step, the GBT cost model, and the interpreter.
+//! the Q-network training step (alone and shared with a helper thread),
+//! the GBT cost model, and the interpreter.
 //!
 //! These are the "inner loops" of the system — one exploration trial is
 //! roughly `starts × (lower + cost-model)` plus amortized NN training.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use flextensor_autotvm::gbt::Gbt;
 use flextensor_explore::space::Space;
 use flextensor_interp::machine::run_kernel;
 use flextensor_interp::reference::random_inputs;
 use flextensor_ir::ops::{self, ConvParams};
-use flextensor_nn::{AdaDelta, Mlp, TrainScratch};
+use flextensor_nn::{AdaDelta, Mlp, TrainBatch, Trainer};
 use flextensor_schedule::config::TargetKind;
 use flextensor_schedule::lower::{lower, lower_naive};
 use flextensor_sim::library::expert_gpu_config;
@@ -68,16 +70,45 @@ fn bench_space(c: &mut Criterion) {
     });
 }
 
+/// The Q-network training step at the shapes `optimize()` meets (feature
+/// widths and direction counts of Table 3's smallest, a middling and the
+/// largest space), 64 rows: on the calling thread alone, and shared with
+/// a helper thread that spins for work as the Q-agent's helper does.
 fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
-    let mut net = Mlp::new(&[40, 64, 64, 64, 70], &mut rng);
-    let mut opt = AdaDelta::new(net.num_params());
-    let xs: Vec<f64> = (0..64).flat_map(|i| [(i % 7) as f64 / 7.0; 40]).collect();
-    let ys: Vec<f64> = (0..64).flat_map(|i| [(i % 5) as f64 / 5.0; 70]).collect();
-    let mut scratch = TrainScratch::new();
-    c.bench_function("nn/q_network_train_batch64", |b| {
-        b.iter(|| net.train_batch_with(black_box(&xs), black_box(&ys), &mut opt, &mut scratch))
-    });
+    for dims in [
+        [14, 64, 64, 64, 21],
+        [35, 64, 64, 64, 60],
+        [43, 64, 64, 64, 82],
+    ] {
+        let (n_in, n_out) = (dims[0], dims[4]);
+        let net = Mlp::new(&dims, &mut rng);
+        let opt = AdaDelta::new(net.num_params());
+        let xs: Vec<f64> = (0..64 * n_in).map(|i| (i % 7) as f64 / 7.0 - 0.4).collect();
+        let ys: Vec<f64> = (0..64 * n_out).map(|i| (i % 5) as f64 / 5.0).collect();
+        let mut trainer = Trainer::new(net, opt);
+        *trainer.batch() = TrainBatch { xs, ys };
+        let shape = format!("{n_in}x{n_out}");
+        c.bench_function(&format!("nn/train_step_{shape}_1thread"), |b| {
+            b.iter(|| black_box(trainer.train_step()))
+        });
+        let helper = trainer.helper();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    if !helper.help() {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            c.bench_function(&format!("nn/train_step_{shape}_2threads"), |b| {
+                b.iter(|| black_box(trainer.train_step()))
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    let net = Mlp::new(&[40, 64, 64, 64, 70], &mut rng);
     let x = vec![0.3; 40];
     c.bench_function("nn/q_network_forward", |b| {
         b.iter(|| net.forward(black_box(&x)))

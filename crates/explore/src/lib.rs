@@ -10,8 +10,8 @@
 //! * [`sa`] — the evaluated-point set `H` and the simulated-annealing
 //!   starting-point rule `P(p) ∝ exp(-γ(E* - E_p)/E*)`.
 //! * [`qlearn`] — the Q-learning direction selector: a four-layer
-//!   fully-connected ReLU network trained online with AdaDelta against a
-//!   target network.
+//!   fully-connected ReLU network trained online with AdaDelta, sharing
+//!   its training steps with a helper thread while only one search runs.
 //! * [`methods`] — the search drivers: Q-method, P-method (all
 //!   directions), and a random-walk ablation, with exploration-time
 //!   accounting modeling the real system's per-measurement cost.

@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::pool::{EvalOutcome, EvalPool, EvalStats};
-use crate::qlearn::{QAgent, Transition};
+use crate::qlearn::{QAgent, SearchInFlight, Transition};
 use crate::sa::History;
 use crate::space::Space;
 
@@ -312,6 +312,7 @@ pub fn search(
     method: Method,
     opts: &SearchOptions,
 ) -> Result<SearchResult, SearchError> {
+    let _in_flight = SearchInFlight::enter();
     let space = Space::new(graph, evaluator.target());
     let space_size = space.size();
     let mut rng = StdRng::seed_from_u64(opts.seed);

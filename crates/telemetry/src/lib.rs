@@ -146,8 +146,9 @@ pub enum TraceEvent {
         loss: f64,
         /// Current ε of the ε-greedy policy (after annealing).
         epsilon: f64,
-        /// Whether the target network was refreshed from the online
-        /// network this round.
+        /// Whether the round's bootstrap targets came from the network as
+        /// it stood at the round's start (the paper's target network,
+        /// refreshed every round; always true).
         target_sync: bool,
     },
     /// Cumulative evaluation-pool statistics after a batch.

@@ -13,6 +13,10 @@ use flextensor_schedule::lower::{lower, lower_naive, LoweredKernel};
 use flextensor_schedule::nest::{LoopKind, Stmt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 fn kernel_with(stmts: Vec<Stmt>) -> LoweredKernel {
     let g = ops::gemm(4, 4, 4);
@@ -419,4 +423,38 @@ fn nan_reward_yields_a_non_finite_loss_without_touching_the_q_network() {
     assert!(!train_round(&mut agent, &mut rng).is_finite());
     let after: Vec<u64> = agent.q_values(&state).iter().map(|q| q.to_bits()).collect();
     assert_eq!(after, before);
+}
+
+#[test]
+fn a_malformed_transition_fails_end_trial_promptly_and_the_agent_still_drops() {
+    // The agent trains once, so (on two or more cores, with no search in
+    // flight) its training helper thread is running; then a transition
+    // of the wrong width makes the next round panic. Neither that panic
+    // nor dropping the agent afterwards (which joins the helper) may
+    // hang: each must arrive within the time bound.
+    let (tx, rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut agent = QAgent::new(3, 4, &mut rng);
+        let step = |state: Vec<f64>| Transition {
+            state,
+            action: 1,
+            reward: 0.5,
+            next_state: vec![0.3, -0.4, 0.8],
+        };
+        agent.record(step(vec![0.2, -0.4, 0.9]));
+        assert!(train_round(&mut agent, &mut rng).is_finite());
+        agent.record(step(vec![0.2, -0.4]));
+        let round = panic::catch_unwind(AssertUnwindSafe(|| train_round(&mut agent, &mut rng)));
+        tx.send("end_trial returned").expect("the test waits");
+        assert!(round.is_err(), "a malformed transition must panic");
+        drop(agent);
+        tx.send("the agent dropped").expect("the test waits");
+    });
+    let bound = Duration::from_secs(60);
+    assert_eq!(rx.recv_timeout(bound), Ok("end_trial returned"));
+    assert_eq!(rx.recv_timeout(bound), Ok("the agent dropped"));
+    worker
+        .join()
+        .expect("the round panicked inside catch_unwind");
 }
