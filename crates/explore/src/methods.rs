@@ -17,6 +17,14 @@
 //! cost: each evaluated point costs `measure_overhead_s` (compile + launch,
 //! ≤ 1 s per §5.2) plus a few timed repetitions of the kernel.
 //!
+//! Neighbors are proposed in key space: each selected start is encoded
+//! once ([`NodeConfig::encode`]), every direction's neighbor is derived
+//! from those words ([`Space::apply_words`]), and whether it is fresh is
+//! a probe of the history by words ([`History::contains_key`]). A
+//! `NodeConfig` is built only for the neighbors a method chooses: one
+//! per start for the Q-method and the random walk, every fresh one for
+//! the P-method.
+//!
 //! Candidate evaluation is *batched*: each trial first builds its full
 //! candidate list (all starts, all chosen directions), then hands it to an
 //! [`EvalPool`], which fans fresh points out over
@@ -383,9 +391,17 @@ pub fn search(
     let mut trace = Vec::with_capacity(opts.trials + 1);
     trace.push(d.trace_point(0));
 
-    // Reused feature buffer for Q-direction choice (zero allocation per
-    // start once warm).
+    // Buffers reused across starts and trials: the start's words, one
+    // neighbor's words, the fresh-neighbor mask, the random walk's fresh
+    // directions, one start's features, and the Q-method's features of
+    // every start of the trial (`dim` each, for its transitions).
+    let mut key = Vec::new();
+    let mut words = Vec::new();
+    let mut mask = Vec::new();
+    let mut avail = Vec::new();
+    let mut state = Vec::new();
     let mut feats = Vec::new();
+    let dim = d.space.feature_dim();
 
     'outer: for trial in 1..=opts.trials {
         if let Some(agent) = agent.as_mut() {
@@ -395,12 +411,14 @@ pub fn search(
             };
             agent.set_progress(progress);
         }
-        let starts = d
+        let (bases, energies): (Vec<NodeConfig>, Vec<f64>) = d
             .history
-            .select_starts_with_energy(opts.starts, opts.gamma, &mut rng);
+            .select_starts_with_energy(opts.starts, opts.gamma, &mut rng)
+            .into_iter()
+            .unzip();
         tel.emit(TraceEvent::TrialStarted {
             trial,
-            starts: starts.len(),
+            starts: bases.len(),
             wall_s: d.wall_s(),
         });
 
@@ -408,50 +426,61 @@ pub fn search(
         // (start, direction) move — before evaluating anything. The RNG is
         // consumed in the same per-start order as a serial walk, and
         // evaluation never touches it, so batching leaves the draw
-        // sequence unchanged.
-        let mut meta: Vec<(usize, usize)> = Vec::new(); // (start idx, action)
+        // sequence unchanged. Moves are made on the start's encoding: a
+        // direction applies to a start when its move does and leads to a
+        // point unvisited as of the start of this trial, and only the
+        // chosen neighbors are built as configs.
+        let mut base_of: Vec<usize> = Vec::new();
+        let mut actions: Vec<usize> = Vec::new();
         let mut cands: Vec<NodeConfig> = Vec::new();
-        for (si, (p, _)) in starts.iter().enumerate() {
-            // Applicable = the direction exists from p and leads to a
-            // point unvisited as of the start of this trial.
-            let mut neighbors: Vec<Option<NodeConfig>> = d
-                .space
-                .directions()
-                .iter()
-                .map(|&dir| d.space.apply(p, dir).filter(|n| !d.history.contains(n)))
-                .collect();
-            let chosen: Vec<usize> = match method {
-                Method::PMethod => (0..neighbors.len())
-                    .filter(|&i| neighbors[i].is_some())
-                    .collect(),
+        feats.clear();
+        for (si, p) in bases.iter().enumerate() {
+            key.clear();
+            p.encode_into(&mut key);
+            let space = &d.space;
+            let history = &d.history;
+            let fresh = |dir, words: &mut Vec<i64>| {
+                space.apply_words(&key, dir, words) && !history.contains_key(words)
+            };
+            let mut chosen = None;
+            match method {
+                Method::PMethod => {
+                    for (a, &dir) in space.directions().iter().enumerate() {
+                        if fresh(dir, &mut words) {
+                            base_of.push(si);
+                            actions.push(a);
+                            cands.push(NodeConfig::from_words(space.layout(), &words));
+                        }
+                    }
+                }
                 Method::RandomWalk => {
-                    let avail: Vec<usize> = (0..neighbors.len())
-                        .filter(|&i| neighbors[i].is_some())
-                        .collect();
-                    if avail.is_empty() {
-                        vec![]
-                    } else {
-                        vec![avail[rng.gen_range(0..avail.len())]]
+                    avail.clear();
+                    avail.extend(
+                        (0..space.directions().len())
+                            .filter(|&a| fresh(space.directions()[a], &mut words)),
+                    );
+                    if !avail.is_empty() {
+                        chosen = Some(avail[rng.gen_range(0..avail.len())]);
                     }
                 }
                 Method::QMethod => {
-                    let mask: Vec<bool> = neighbors.iter().map(Option::is_some).collect();
-                    d.space.features_into(p, &mut feats);
-                    match agent
+                    mask.clear();
+                    mask.extend(space.directions().iter().map(|&dir| fresh(dir, &mut words)));
+                    space.features_into(p, &mut state);
+                    feats.extend_from_slice(&state);
+                    chosen = agent
                         .as_mut()
                         .expect("Q agent exists")
-                        .choose(&feats, &mask, &mut rng)
-                    {
-                        Some(a) => vec![a],
-                        None => vec![],
-                    }
+                        .choose(&state, &mask, &mut rng);
                 }
-            };
-            for a in chosen {
-                meta.push((si, a));
-                // Each chosen index is distinct, so the neighbor moves out
-                // of its slot instead of being cloned.
-                cands.push(neighbors[a].take().expect("chosen neighbor exists"));
+            }
+            if let Some(a) = chosen {
+                // Re-derive the chosen neighbor's words (the last probe
+                // left another direction's in `words`).
+                space.apply_words(&key, space.directions()[a], &mut words);
+                base_of.push(si);
+                actions.push(a);
+                cands.push(NodeConfig::from_words(space.layout(), &words));
             }
         }
 
@@ -459,17 +488,14 @@ pub fn search(
         // the pool's workers. Each candidate carries its starting point so
         // the pool can patch features incrementally instead of recomputing
         // them.
-        let bases: Vec<NodeConfig> = starts.iter().map(|(p, _)| p.clone()).collect();
-        let base_of: Vec<usize> = meta.iter().map(|&(si, _)| si).collect();
         let outcomes = d.pool.evaluate_batch_delta(&cands, &base_of, &bases);
         d.pool.emit_stats(&tel, trial);
 
         // Phase 3: reduce in fixed candidate order. Hitting the stop
         // target discards the rest of the batch: those points are cached
         // but never absorbed, so they cost no modeled measurement.
-        for (((si, a), n), oc) in meta.iter().zip(&cands).zip(outcomes) {
-            let (p, e_p) = &starts[*si];
-            let e_p = *e_p;
+        for (((&si, &a), n), oc) in base_of.iter().zip(&actions).zip(&cands).zip(outcomes) {
+            let e_p = energies[si];
             let e_n = d.absorb(trial, n, oc);
             tel.emit(TraceEvent::SaStep {
                 trial,
@@ -486,8 +512,8 @@ pub fn search(
                     -1.0
                 };
                 agent.record(Transition {
-                    state: d.space.features(p),
-                    action: *a,
+                    state: feats[si * dim..(si + 1) * dim].to_vec(),
+                    action: a,
                     reward,
                     next_state: d.space.features(n),
                 });

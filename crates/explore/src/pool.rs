@@ -33,9 +33,11 @@
 //! order. Thread scheduling can therefore change *wall-clock time only*,
 //! never a result or a counter.
 
+use std::any::Any;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -336,6 +338,10 @@ struct EvalCtx {
     /// candidate would have evaluated to `None` anyway, so gating never
     /// changes a cost — only whether modeled measurement time is spent.
     analyzer_gate: bool,
+    /// Makes the next evaluation panic (a stand-in for a faulty
+    /// evaluator).
+    #[cfg(test)]
+    panic_next: std::sync::atomic::AtomicBool,
 }
 
 impl EvalCtx {
@@ -356,6 +362,11 @@ impl EvalCtx {
         base: Option<&(NodeConfig, KernelFeatures)>,
         scratch: &mut DeltaScratch,
     ) -> (Option<Cost>, bool, bool) {
+        #[cfg(test)]
+        assert!(
+            !self.panic_next.swap(false, Ordering::Relaxed),
+            "injected evaluation panic"
+        );
         let features = match base {
             Some((base_cfg, base_features)) => {
                 delta_features_with(&self.template, base_cfg, base_features, cfg, scratch).ok()
@@ -412,17 +423,27 @@ struct BatchJob {
     results: Vec<OnceLock<(Option<Cost>, bool, bool)>>,
 }
 
+/// What a worker reports when it has finished its part of a batch: the
+/// payload of a panic it caught there, if any.
+type WorkerDone = Option<Box<dyn Any + Send>>;
+
 /// A persistent pool of evaluation workers with a memo cache in front.
 ///
 /// Created once per search; workers live until the pool is dropped, so
 /// per-batch dispatch costs one channel send per worker rather than a
 /// thread spawn per candidate.
+///
+/// A panic while evaluating a candidate reaches the caller of the batch
+/// as a panic, whichever thread it happened on. A worker catches it at the
+/// batch boundary and still reports the batch done, so the coordinator
+/// never waits on a worker that died; it re-raises the first payload once
+/// every worker has reported, and the pool stays usable.
 pub struct EvalPool {
     ctx: Arc<EvalCtx>,
     cache: MemoCache,
     workers: usize,
     senders: Vec<Sender<Arc<BatchJob>>>,
-    done_rx: Option<Receiver<()>>,
+    done_rx: Option<Receiver<WorkerDone>>,
     handles: Vec<JoinHandle<()>>,
     evaluated: usize,
     pruned: usize,
@@ -525,12 +546,14 @@ impl EvalPool {
             template: LoweredTemplate::new(graph, evaluator.target()),
             use_template,
             analyzer_gate,
+            #[cfg(test)]
+            panic_next: Default::default(),
         });
         let mut senders = Vec::new();
         let mut handles = Vec::new();
         let mut done_rx = None;
         if workers > 1 {
-            let (done_tx, rx) = channel::<()>();
+            let (done_tx, rx) = channel::<WorkerDone>();
             done_rx = Some(rx);
             for _ in 0..workers {
                 let (tx, job_rx) = channel::<Arc<BatchJob>>();
@@ -541,7 +564,7 @@ impl EvalPool {
                     // Per-worker delta arena, reused across batches.
                     let mut scratch = DeltaScratch::new();
                     while let Ok(job) = job_rx.recv() {
-                        loop {
+                        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
                             // Claim a chunk of candidates. Slots are
                             // pre-assigned, so chunking only changes load
                             // balancing, never a result.
@@ -555,9 +578,13 @@ impl EvalPool {
                                 let outcome = ctx.evaluate_one(&job.configs[i], base, &mut scratch);
                                 let _ = job.results[i].set(outcome);
                             }
+                        }));
+                        if run.is_err() {
+                            // The panic may have left the arena mid-update.
+                            scratch = DeltaScratch::new();
                         }
                         drop(job);
-                        if done_tx.send(()).is_err() {
+                        if done_tx.send(run.err()).is_err() {
                             break; // coordinator went away
                         }
                     }
@@ -792,8 +819,14 @@ impl EvalPool {
                 tx.send(Arc::clone(&job)).expect("evaluation worker died");
             }
             let done = self.done_rx.as_ref().expect("pool has workers");
+            let mut panicked = None;
             for _ in 0..self.senders.len() {
-                done.recv().expect("evaluation worker died");
+                if let Some(payload) = done.recv().expect("evaluation worker died") {
+                    panicked.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panicked {
+                panic::resume_unwind(payload);
             }
             job.results
                 .iter()
@@ -1152,6 +1185,45 @@ mod tests {
         let (i, f) = (inline_pool.stats(), fanned_pool.stats());
         assert_eq!((i.delta_hits, i.delta_full), (f.delta_hits, f.delta_full));
         assert_eq!(i.evaluated, f.evaluated);
+    }
+
+    /// A panic on one worker must reach the caller as a panic, not leave
+    /// it waiting for that worker's report, and must leave the pool able
+    /// to evaluate the next batch.
+    #[test]
+    fn a_worker_panic_reaches_the_caller_and_the_pool_survives() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (g, ev) = setup();
+        let space = crate::space::Space::new(&g, ev.target());
+        let (cands, base_of, bases) = neighbor_batch(&space, 12, 4);
+        let want =
+            EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch_delta(&cands, &base_of, &bases);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut pool = EvalPool::new(&g, &ev, 2, 1 << 16);
+            pool.inline_batch = 0;
+            pool.ctx.panic_next.store(true, Ordering::Relaxed);
+            let first = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.evaluate_batch_delta(&cands, &base_of, &bases)
+            }));
+            let message = first.err().map(|p| match p.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |s| s.to_string()),
+            });
+            let again = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+            let _ = tx.send((message, again));
+        });
+        let (message, again) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the batch must return within 60 s, not hang");
+        let message = message.expect("the worker's panic must reach the caller");
+        assert!(message.contains("injected evaluation panic"), "{message}");
+        // The failed batch cached nothing, so the retry evaluates afresh.
+        assert_eq!(again, want);
     }
 
     /// Keys derived from a base key (`encode_delta_into`) must be the

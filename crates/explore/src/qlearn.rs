@@ -23,20 +23,21 @@
 //! steps with one helper thread ([`flextensor_nn::Trainer`] cuts every
 //! step into items either thread may claim; the bits do not depend on who
 //! runs what). The helper takes part only while the gate is open: the
-//! process has at least two cores, and at most one [`search`] is in
-//! flight — the agent's own, or none when the agent is driven outside
-//! `search()`. The gate is checked before every step, so a second search
-//! starting up stops the helper within one step: two searches already
-//! keep two cores busy, and a spinning helper would only steal from them.
+//! process has at least two cores, at most one [`search`] is in flight —
+//! the agent's own, or none when the agent is driven outside `search()` —
+//! and at most one training round is running, the agent's own. The gate
+//! is checked before every step, so a second search or a second agent's
+//! round starting up stops the helper within one step: two of them
+//! already keep two cores busy, and a spinning helper would only steal
+//! from them.
 //!
 //! While the gate is open the helper never sleeps: it spins inside a
 //! round, and between rounds spins with a yield every few microseconds,
 //! because a helper that parks and is woken again arrives late and on
 //! either core. It parks once the gate closes or its agent has been idle
-//! for [`IDLE_PARK`]. The helper is
-//! started on the first step the gate allows and joined when the agent is
-//! dropped; a panic on it reaches the caller as a panic from
-//! [`QAgent::end_trial`].
+//! for `IDLE_PARK`. The helper is started on the first step the gate
+//! allows and joined when the agent is dropped; a panic on it reaches the
+//! caller as a panic from [`QAgent::end_trial`].
 //!
 //! [`search`]: crate::methods::search
 
@@ -112,12 +113,34 @@ impl Drop for SearchInFlight {
     }
 }
 
+/// Training rounds in flight in this process; see [`RoundInFlight`].
+static ROUNDS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one training round ([`QAgent::end_trial`]) as in flight for as
+/// long as it is held, also while a panic unwinds out of the round.
+#[derive(Debug)]
+struct RoundInFlight(());
+
+impl RoundInFlight {
+    fn enter() -> RoundInFlight {
+        ROUNDS.fetch_add(1, Ordering::Relaxed);
+        RoundInFlight(())
+    }
+}
+
+impl Drop for RoundInFlight {
+    fn drop(&mut self) {
+        ROUNDS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Whether a helper may share training steps now: at least two cores
-/// (read once), and at most one search in flight.
+/// (read once), at most one search in flight, and at most one training
+/// round — the caller's own — running.
 fn gate_open() -> bool {
     static CORES: OnceLock<bool> = OnceLock::new();
     let cores = *CORES.get_or_init(|| thread::available_parallelism().is_ok_and(|n| n.get() >= 2));
-    cores && SEARCHES.load(Ordering::Relaxed) <= 1
+    cores && SEARCHES.load(Ordering::Relaxed) <= 1 && ROUNDS.load(Ordering::Relaxed) <= 1
 }
 
 /// How long a helper keeps yielding after its agent's last round before
@@ -351,6 +374,7 @@ impl QAgent {
             return None;
         }
         self.trials_since_train = 0;
+        let _round = RoundInFlight::enter();
         // Batch: 64 transitions sampled uniformly from the replay buffer —
         // by index, so no transition is cloned per round.
         self.indices.clear();
@@ -602,6 +626,13 @@ mod tests {
         });
         let outcome = rx.recv_timeout(Duration::from_secs(60));
         assert_eq!(outcome, Ok(true), "end_trial must panic, not hang");
+    }
+
+    #[test]
+    fn two_training_rounds_in_flight_close_the_gate() {
+        let rounds = [RoundInFlight::enter(), RoundInFlight::enter()];
+        assert!(!gate_open());
+        drop(rounds);
     }
 
     #[test]

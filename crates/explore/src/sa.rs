@@ -138,6 +138,13 @@ impl History {
         self.find(cfg).is_some()
     }
 
+    /// Whether the point with these [`NodeConfig::encode`] words has
+    /// already been evaluated: [`History::contains`] for a caller that
+    /// holds the words, with no encoding and no config.
+    pub fn contains_key(&self, key: &[i64]) -> bool {
+        self.points.get(hash_key(key), key).is_some()
+    }
+
     /// Records a point with its performance value `E` (0 = infeasible).
     ///
     /// Takes the config by value or by reference: the history keeps only

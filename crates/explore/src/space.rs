@@ -20,8 +20,12 @@
 //! from level `j` to level `i` — exactly the paper's
 //! `g_i > f_i, g_j < f_j` neighbors.
 
+use std::cell::RefCell;
+
 use flextensor_ir::graph::{ComputeOp, Graph};
-use flextensor_schedule::config::{NodeConfig, TargetKind, REDUCE_PARTS, SPATIAL_PARTS};
+use flextensor_schedule::config::{
+    ConfigLayout, NodeConfig, TargetKind, REDUCE_PARTS, SPATIAL_PARTS,
+};
 use rand::Rng;
 
 /// Which loop family a direction's axis lives in.
@@ -119,12 +123,35 @@ fn binomial(n: u32, k: u32) -> f64 {
     r
 }
 
+thread_local! {
+    /// The point's and the neighbor's words for [`Space::apply`], so it
+    /// allocates only the neighbor it returns.
+    static APPLY_WORDS: RefCell<(Vec<i64>, Vec<i64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Offsets of the scalar words at the end of a Fig. 3e key
+/// ([`NodeConfig::encode`]), counted from the fuse-depth word.
+const FUSE: usize = 0;
+const UNROLL: usize = 1;
+const VECTORIZE: usize = 2;
+const CACHE: usize = 3;
+const INLINE: usize = 4;
+const PARTITION: usize = 5;
+const PIPELINE: usize = 6;
+
 /// The schedule space of one compute node on one target (§4.2).
 #[derive(Debug, Clone)]
 pub struct Space {
     op: ComputeOp,
     target: TargetKind,
     directions: Vec<Direction>,
+    /// The layout of every point's encoding.
+    layout: ConfigLayout,
+    /// Word offset of the reorder permutation in a point's encoding.
+    reorder_at: usize,
+    /// Word offset of the fuse depth, the first of the seven scalar words.
+    tail_at: usize,
 }
 
 impl Space {
@@ -188,10 +215,14 @@ impl Space {
                 directions.push(Direction::PipelineDown);
             }
         }
+        let reorder_at = ns * SPATIAL_PARTS + nr * REDUCE_PARTS;
         Space {
+            layout: ConfigLayout::for_op(&op),
             op,
             target,
             directions,
+            reorder_at,
+            tail_at: reorder_at + ns,
         }
     }
 
@@ -210,30 +241,39 @@ impl Space {
         &self.directions
     }
 
+    /// The layout of every point's encoding (the op's).
+    pub(crate) fn layout(&self) -> &ConfigLayout {
+        &self.layout
+    }
+
     /// The hardware-fixed defaults applied to every point on this target
-    /// (§4.2's pre-determined decisions).
-    fn apply_target_defaults(&self, cfg: &mut NodeConfig) {
-        cfg.vectorize = true;
+    /// (§4.2's pre-determined decisions), on the point's seven scalar
+    /// words.
+    fn apply_target_defaults(&self, tail: &mut [i64]) {
+        tail[VECTORIZE] = 1;
+        let ns = self.op.spatial.len() as i64;
         match self.target {
             TargetKind::Cpu => {
-                cfg.cache_shared = false;
-                cfg.fuse_outer = cfg.fuse_outer.clamp(1, self.op.spatial.len());
+                tail[CACHE] = 0;
+                tail[FUSE] = tail[FUSE].clamp(1, ns);
             }
-            TargetKind::Gpu => {
-                // All level-0 factors fuse into the grid.
-                cfg.fuse_outer = self.op.spatial.len();
-            }
-            TargetKind::Fpga => {
-                cfg.cache_shared = false;
-            }
+            // All level-0 factors fuse into the grid.
+            TargetKind::Gpu => tail[FUSE] = ns,
+            TargetKind::Fpga => tail[CACHE] = 0,
         }
+    }
+
+    /// `cfg`, a config of this space's op, with the target's defaults
+    /// applied.
+    fn with_target_defaults(&self, cfg: &NodeConfig) -> NodeConfig {
+        let mut key = cfg.encode();
+        self.apply_target_defaults(&mut key[self.tail_at..]);
+        NodeConfig::from_words(&self.layout, &key)
     }
 
     /// The identity point (naive schedule) with target defaults applied.
     pub fn start_point(&self) -> NodeConfig {
-        let mut cfg = NodeConfig::naive(&self.op);
-        self.apply_target_defaults(&mut cfg);
-        cfg
+        self.with_target_defaults(&NodeConfig::naive(&self.op))
     }
 
     /// Samples a uniform random point: each axis's prime factors are
@@ -271,76 +311,86 @@ impl Space {
         cfg.inline_data = rng.gen_bool(0.8);
         cfg.fpga_partition = 1 << rng.gen_range(0..5);
         cfg.fpga_pipeline = rng.gen_range(1..=3);
-        self.apply_target_defaults(&mut cfg);
-        cfg
+        self.with_target_defaults(&cfg)
     }
 
     /// Returns the neighbor of `cfg` along `dir`, or `None` when the move
     /// is not applicable (e.g. no prime factor to move, permutation edge,
-    /// or a bound reached).
+    /// or a bound reached). `cfg` must be a point of this space's op.
     pub fn apply(&self, cfg: &NodeConfig, dir: Direction) -> Option<NodeConfig> {
-        let mut out = cfg.clone();
+        APPLY_WORDS.with(|bufs| {
+            let (key, out) = &mut *bufs.borrow_mut();
+            key.clear();
+            cfg.encode_into(key);
+            self.apply_words(key, dir, out)
+                .then(|| NodeConfig::from_words(&self.layout, out))
+        })
+    }
+
+    /// [`Space::apply`] on encodings: writes the [`NodeConfig::encode`]
+    /// words of the neighbor of the point encoded by `key` along `dir` into
+    /// `out` (cleared first) and returns `true`, or returns `false` when
+    /// the move is not applicable (`out` is then unspecified). The move is
+    /// made on the words, then the target's defaults (§4.2) are applied to
+    /// them, so a point that is not normalized to the target (an adapted
+    /// warm-start seed) comes out normalized, as from [`Space::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key` does not have this space's layout.
+    pub fn apply_words(&self, key: &[i64], dir: Direction, out: &mut Vec<i64>) -> bool {
+        assert_eq!(
+            key.len(),
+            self.layout.words(),
+            "key is not a point of this space"
+        );
+        let (r, t) = (self.reorder_at, self.tail_at);
+        let ns = self.op.spatial.len() as i64;
+        let applicable = match dir {
+            Direction::SplitMove { axis, from, .. } => key[self.split_at(axis) + from] > 1,
+            Direction::SwapReorder { pos } => pos + 1 < t - r,
+            Direction::FuseMore => key[t + FUSE] < ns,
+            Direction::FuseLess => key[t + FUSE] > 1,
+            Direction::ToggleUnroll | Direction::ToggleCache | Direction::ToggleInline => true,
+            Direction::PartitionUp => key[t + PARTITION] < 16,
+            Direction::PartitionDown => key[t + PARTITION] > 1,
+            Direction::PipelineUp => key[t + PIPELINE] < 3,
+            Direction::PipelineDown => key[t + PIPELINE] > 1,
+        };
+        if !applicable {
+            return false;
+        }
+        out.clear();
+        out.extend_from_slice(key);
+        let toggle = |w: &mut i64| *w = (*w == 0) as i64;
         match dir {
             Direction::SplitMove { axis, from, to } => {
-                let f = match axis {
-                    AxisRef::Spatial(i) => &mut out.spatial_splits[i],
-                    AxisRef::Reduce(i) => &mut out.reduce_splits[i],
-                };
-                if f[from] <= 1 {
-                    return None;
-                }
+                let f = &mut out[self.split_at(axis)..];
                 let p = smallest_prime_factor(f[from]);
                 f[from] /= p;
                 f[to] *= p;
             }
-            Direction::SwapReorder { pos } => {
-                if pos + 1 >= out.reorder.len() {
-                    return None;
-                }
-                out.reorder.swap(pos, pos + 1);
-            }
-            Direction::FuseMore => {
-                if out.fuse_outer >= self.op.spatial.len() {
-                    return None;
-                }
-                out.fuse_outer += 1;
-            }
-            Direction::FuseLess => {
-                if out.fuse_outer <= 1 {
-                    return None;
-                }
-                out.fuse_outer -= 1;
-            }
-            Direction::ToggleUnroll => out.unroll = !out.unroll,
-            Direction::ToggleCache => out.cache_shared = !out.cache_shared,
-            Direction::ToggleInline => out.inline_data = !out.inline_data,
-            Direction::PartitionUp => {
-                if out.fpga_partition >= 16 {
-                    return None;
-                }
-                out.fpga_partition *= 2;
-            }
-            Direction::PartitionDown => {
-                if out.fpga_partition <= 1 {
-                    return None;
-                }
-                out.fpga_partition /= 2;
-            }
-            Direction::PipelineUp => {
-                if out.fpga_pipeline >= 3 {
-                    return None;
-                }
-                out.fpga_pipeline += 1;
-            }
-            Direction::PipelineDown => {
-                if out.fpga_pipeline <= 1 {
-                    return None;
-                }
-                out.fpga_pipeline -= 1;
-            }
+            Direction::SwapReorder { pos } => out.swap(r + pos, r + pos + 1),
+            Direction::FuseMore => out[t + FUSE] += 1,
+            Direction::FuseLess => out[t + FUSE] -= 1,
+            Direction::ToggleUnroll => toggle(&mut out[t + UNROLL]),
+            Direction::ToggleCache => toggle(&mut out[t + CACHE]),
+            Direction::ToggleInline => toggle(&mut out[t + INLINE]),
+            Direction::PartitionUp => out[t + PARTITION] *= 2,
+            Direction::PartitionDown => out[t + PARTITION] /= 2,
+            Direction::PipelineUp => out[t + PIPELINE] += 1,
+            Direction::PipelineDown => out[t + PIPELINE] -= 1,
         }
-        self.apply_target_defaults(&mut out);
-        Some(out)
+        self.apply_target_defaults(&mut out[t..]);
+        true
+    }
+
+    /// Word offset of an axis's split factors in a point's encoding.
+    fn split_at(&self, axis: AxisRef) -> usize {
+        match axis {
+            AxisRef::Spatial(i) => i * SPATIAL_PARTS,
+            AxisRef::Reduce(i) => self.op.spatial.len() * SPATIAL_PARTS + i * REDUCE_PARTS,
+        }
     }
 
     /// Size of the schedule space (number of points), as an `f64` because
@@ -413,8 +463,160 @@ impl Space {
 mod tests {
     use super::*;
     use flextensor_ir::ops;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The move rules and target defaults on configs, as [`Space::apply`]
+    /// applied them before it moved to encodings: the oracle
+    /// [`Space::apply_words`] must match.
+    fn apply_oracle(sp: &Space, cfg: &NodeConfig, dir: Direction) -> Option<NodeConfig> {
+        let mut out = cfg.clone();
+        match dir {
+            Direction::SplitMove { axis, from, to } => {
+                let f = match axis {
+                    AxisRef::Spatial(i) => &mut out.spatial_splits[i],
+                    AxisRef::Reduce(i) => &mut out.reduce_splits[i],
+                };
+                if f[from] <= 1 {
+                    return None;
+                }
+                let p = smallest_prime_factor(f[from]);
+                f[from] /= p;
+                f[to] *= p;
+            }
+            Direction::SwapReorder { pos } => {
+                if pos + 1 >= out.reorder.len() {
+                    return None;
+                }
+                out.reorder.swap(pos, pos + 1);
+            }
+            Direction::FuseMore => {
+                if out.fuse_outer >= sp.op.spatial.len() {
+                    return None;
+                }
+                out.fuse_outer += 1;
+            }
+            Direction::FuseLess => {
+                if out.fuse_outer <= 1 {
+                    return None;
+                }
+                out.fuse_outer -= 1;
+            }
+            Direction::ToggleUnroll => out.unroll = !out.unroll,
+            Direction::ToggleCache => out.cache_shared = !out.cache_shared,
+            Direction::ToggleInline => out.inline_data = !out.inline_data,
+            Direction::PartitionUp => {
+                if out.fpga_partition >= 16 {
+                    return None;
+                }
+                out.fpga_partition *= 2;
+            }
+            Direction::PartitionDown => {
+                if out.fpga_partition <= 1 {
+                    return None;
+                }
+                out.fpga_partition /= 2;
+            }
+            Direction::PipelineUp => {
+                if out.fpga_pipeline >= 3 {
+                    return None;
+                }
+                out.fpga_pipeline += 1;
+            }
+            Direction::PipelineDown => {
+                if out.fpga_pipeline <= 1 {
+                    return None;
+                }
+                out.fpga_pipeline -= 1;
+            }
+        }
+        out.vectorize = true;
+        match sp.target {
+            TargetKind::Cpu => {
+                out.cache_shared = false;
+                out.fuse_outer = out.fuse_outer.clamp(1, sp.op.spatial.len());
+            }
+            TargetKind::Gpu => out.fuse_outer = sp.op.spatial.len(),
+            TargetKind::Fpga => out.cache_shared = false,
+        }
+        Some(out)
+    }
+
+    /// A warm-start seed as the search absorbs it: a random stored
+    /// encoding adapted onto the op, so its flags, fuse depth and FPGA
+    /// parameters are whatever the store held, not the target's defaults.
+    fn warm_point(sp: &Space, rng: &mut StdRng) -> Option<NodeConfig> {
+        let ns = sp.op.spatial.len();
+        let nr = sp.op.reduce.len();
+        let mut enc: Vec<i64> = (0..ns * SPATIAL_PARTS + nr * REDUCE_PARTS)
+            .map(|_| [1, 2, 3, 4, 6, 7, 8, 16][rng.gen_range(0..8)])
+            .collect();
+        let mut perm: Vec<i64> = (0..ns as i64).collect();
+        for i in (1..ns).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        enc.extend(perm);
+        enc.push(rng.gen_range(0..=ns as i64 + 1)); // fuse, sometimes out of range
+        for _ in 0..4 {
+            enc.push(rng.gen_range(0..2)); // unroll, vectorize, cache, inline
+        }
+        enc.push(rng.gen_range(-1..40)); // partition, any positive factor
+        enc.push(rng.gen_range(0..5)); // pipeline, sometimes out of range
+        crate::warm::adapt_encoding(&sp.op, &enc)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every direction from random, warm-adapted and walked-to points
+        /// on every target: the word-level move is the config-level move,
+        /// word for word, and [`Space::apply`] agrees with both.
+        #[test]
+        fn apply_words_matches_the_config_level_oracle(seed in any::<u64>()) {
+            let graphs = [
+                ops::gemm(96, 56, 40),
+                ops::conv2d(ops::ConvParams::same(1, 12, 16, 3), 10, 10),
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut out = Vec::new();
+            for g in &graphs {
+                for target in [TargetKind::Cpu, TargetKind::Gpu, TargetKind::Fpga] {
+                    let sp = Space::new(g, target);
+                    let mut points = vec![sp.start_point()];
+                    for _ in 0..4 {
+                        points.push(sp.random_point(&mut rng));
+                        points.extend(warm_point(&sp, &mut rng));
+                    }
+                    let mut i = 0;
+                    while i < points.len() {
+                        let p = points[i].clone();
+                        let key = p.encode();
+                        for &dir in sp.directions() {
+                            let want = apply_oracle(&sp, &p, dir);
+                            let got = sp.apply_words(&key, dir, &mut out);
+                            prop_assert_eq!(got, want.is_some(), "{:?} from {}", dir, p);
+                            if let Some(n) = &want {
+                                prop_assert_eq!(&out, &n.encode(), "{:?} from {}", dir, p);
+                                prop_assert_eq!(
+                                    &NodeConfig::from_words(sp.layout(), &out),
+                                    n
+                                );
+                            }
+                            prop_assert_eq!(sp.apply(&p, dir), want);
+                        }
+                        // Walk on from a few neighbors, so moves compound
+                        // (partition factors of 3·2^k, fuse at its bounds).
+                        if points.len() < 40 {
+                            let dir = sp.directions()[rng.gen_range(0..sp.directions().len())];
+                            points.extend(apply_oracle(&sp, &p, dir));
+                        }
+                        i += 1;
+                    }
+                }
+            }
+        }
+    }
 
     fn gpu_space() -> Space {
         let g = ops::conv2d(ops::ConvParams::same(1, 64, 128, 3), 28, 28);

@@ -4,8 +4,9 @@
 //! `BTreeMap` from encoding to `(config, E)` that recomputes every SA
 //! weight on each selection and scans the map once per draw. The flat,
 //! hash-indexed [`History`] must be indistinguishable from it: the same
-//! `contains`, `value`, `best`, `len`, the same selected starts with the
-//! same energies, and the same RNG state after every selection.
+//! `contains` (by config and by key words), `value`, `best`, `len`, the
+//! same selected starts with the same energies, and the same RNG state
+//! after every selection.
 
 use std::collections::BTreeMap;
 
@@ -257,7 +258,9 @@ fn run_case(seed: u64, size: usize, kind: usize, gamma: f64, n: usize) -> Result
                 } else {
                     src.next(&mut rng)
                 };
-                if flat.contains(&probe) != oracle.contains(&probe) {
+                if flat.contains(&probe) != oracle.contains(&probe)
+                    || flat.contains_key(&probe.encode()) != oracle.contains(&probe)
+                {
                     return Err(format!("step {step}: contains disagrees for {probe}"));
                 }
                 let (a, b) = (flat.value(&probe), oracle.value(&probe));

@@ -380,8 +380,9 @@ impl MlpScratch {
 }
 
 /// Reusable buffers for [`Mlp::train_batch_with`]: phase A's buffers for
-/// the whole batch (see [`RowBufs`]) and one layer's gradients. Reusing them across training rounds
-/// removes every per-round heap allocation; every buffer is fully
+/// the whole batch (each layer's activations and deltas) and one layer's
+/// gradients. Reusing them across training rounds removes every
+/// per-round heap allocation; every buffer is fully
 /// overwritten before it is read, so results never depend on what a
 /// previous call left behind.
 #[derive(Debug, Clone, Default)]

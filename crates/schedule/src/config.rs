@@ -433,14 +433,15 @@ impl NodeConfig {
     /// Panics when `v.len() != layout.words()`.
     pub fn from_words(layout: &ConfigLayout, v: &[i64]) -> NodeConfig {
         assert_eq!(v.len(), layout.words(), "encoding does not fit its layout");
-        let mut it = v.iter().copied();
-        let mut take = |n: usize| -> Vec<i64> { (&mut it).take(n).collect() };
-        let spatial_splits = layout.spatial.iter().map(|&n| take(n)).collect();
-        let reduce_splits = layout.reduce.iter().map(|&n| take(n)).collect();
-        let reorder = take(layout.reorder)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect();
+        let mut left = v;
+        let mut take = |n: usize| -> &[i64] {
+            let (head, tail) = left.split_at(n);
+            left = tail;
+            head
+        };
+        let spatial_splits = layout.spatial.iter().map(|&n| take(n).to_vec()).collect();
+        let reduce_splits = layout.reduce.iter().map(|&n| take(n).to_vec()).collect();
+        let reorder = take(layout.reorder).iter().map(|&x| x as usize).collect();
         let rest = take(7);
         NodeConfig {
             spatial_splits,

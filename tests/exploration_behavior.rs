@@ -4,7 +4,7 @@
 
 use flextensor_autotvm::template::Template;
 use flextensor_autotvm::tuner::{tune, TuneOptions};
-use flextensor_explore::methods::{search, Method, SearchOptions};
+use flextensor_explore::methods::{search, Method, SearchOptions, SearchResult};
 use flextensor_explore::space::Space;
 use flextensor_ir::ops::{self, ConvParams};
 use flextensor_ir::yolo::yolo_layer;
@@ -274,4 +274,222 @@ fn p_method_results_are_pinned() {
             "{label}: exploration time"
         );
     }
+}
+
+/// Gemm and conv2d on each device model, in the order of
+/// [`p_method_results_are_pinned`].
+fn pin_runs() -> Vec<(flextensor_ir::graph::Graph, Device)> {
+    use flextensor_sim::spec::{vu9p, xeon_e5_2699_v4};
+    let graphs = [
+        ops::gemm(256, 256, 256),
+        ops::conv2d(ConvParams::same(1, 32, 64, 3), 14, 14),
+    ];
+    let devices = [
+        Device::Gpu(v100()),
+        Device::Cpu(xeon_e5_2699_v4()),
+        Device::Fpga(vu9p()),
+    ];
+    graphs
+        .iter()
+        .flat_map(|g| devices.iter().map(move |d| (g.clone(), d.clone())))
+        .collect()
+}
+
+/// A pinned search result: label, best encoding, cost bits, measurement
+/// count and exploration-time bits.
+type Pin = (&'static str, &'static [i64], u64, usize, u64);
+
+fn assert_pinned(
+    g: &flextensor_ir::graph::Graph,
+    d: &Device,
+    m: Method,
+    opts: &SearchOptions,
+    pin: Pin,
+) -> SearchResult {
+    let (label, enc, cost_bits, measurements, time_bits) = pin;
+    let r = search(g, &Evaluator::new(d.clone()), m, opts).unwrap();
+    assert_eq!(r.best.encode(), enc, "{label}: best encoding");
+    assert_eq!(r.best_cost.seconds.to_bits(), cost_bits, "{label}: cost");
+    assert_eq!(r.measurements, measurements, "{label}: measurements");
+    assert_eq!(
+        r.exploration_time_s.to_bits(),
+        time_bits,
+        "{label}: exploration time"
+    );
+    r
+}
+
+/// Pinned Q-method results at default options. Each trial moves every
+/// start along one direction the agent picks from the fresh-neighbor
+/// mask, so a drift in which neighbors count as applicable or fresh, in
+/// the start features, or in the recorded transitions moves the agent's
+/// choices and with them at least one pinned value.
+#[test]
+fn q_method_results_are_pinned() {
+    let pins: [Pin; 6] = [
+        (
+            "gemm V100",
+            &[
+                8, 1, 32, 1, 8, 1, 32, 1, 1, 1, 256, 0, 1, 2, 0, 1, 1, 1, 8, 3,
+            ],
+            0x3eea_c91d_2043_b936,
+            795,
+            0x4083_fd80_8630_3ccc,
+        ),
+        (
+            "gemm Xeon",
+            &[8, 1, 16, 2, 8, 2, 2, 8, 2, 32, 4, 0, 1, 2, 1, 1, 0, 0, 2, 2],
+            0x3f03_8a63_303d_02e8,
+            793,
+            0x4083_da8c_c5c9_5937,
+        ),
+        (
+            "gemm VU9P",
+            &[
+                16, 2, 4, 2, 1, 2, 16, 8, 4, 8, 8, 0, 1, 1, 1, 1, 0, 1, 16, 3,
+            ],
+            0x3f22_61da_3d7b_8e6f,
+            797,
+            0x4083_fcf6_bc98_b044,
+        ),
+        (
+            "conv2d V100",
+            &[
+                1, 1, 1, 1, 8, 1, 8, 1, 2, 1, 7, 1, 7, 1, 2, 1, 2, 2, 8, 3, 1, 1, 1, 1, 3, 2, 0, 3,
+                1, 4, 1, 1, 1, 1, 2, 2,
+            ],
+            0x3eed_1ad5_5220_a1dc,
+            795,
+            0x4083_ea6b_fbb2_1064,
+        ),
+        (
+            "conv2d Xeon",
+            &[
+                1, 1, 1, 1, 4, 2, 1, 8, 7, 1, 2, 1, 2, 1, 1, 7, 4, 2, 4, 1, 1, 3, 1, 3, 1, 2, 1, 0,
+                3, 4, 1, 1, 0, 1, 16, 3,
+            ],
+            0x3eeb_d11e_1aeb_86a3,
+            793,
+            0x4083_d8e5_190e_46c7,
+        ),
+        (
+            "conv2d VU9P",
+            &[
+                1, 1, 1, 1, 8, 2, 1, 4, 1, 1, 1, 14, 1, 1, 14, 1, 4, 8, 1, 3, 1, 1, 1, 3, 1, 3, 0,
+                1, 2, 2, 0, 1, 0, 1, 16, 3,
+            ],
+            0x3efc_7d08_8e94_2738,
+            792,
+            0x4083_d402_7122_becd,
+        ),
+    ];
+    for ((g, d), pin) in pin_runs().iter().zip(pins) {
+        assert_pinned(g, d, Method::QMethod, &SearchOptions::default(), pin);
+    }
+}
+
+/// Pinned random-walk results at default options: one uniform draw over
+/// each start's fresh neighbors, so the draw's range and the index it
+/// resolves to both depend on the exact fresh-neighbor set.
+#[test]
+fn random_walk_results_are_pinned() {
+    let pins: [Pin; 6] = [
+        (
+            "gemm V100",
+            &[
+                32, 1, 8, 1, 1, 1, 128, 2, 4, 16, 4, 0, 1, 2, 1, 1, 1, 1, 4, 1,
+            ],
+            0x3ef1_92ce_420b_e904,
+            791,
+            0x4083_e19e_fb7e_97ae,
+        ),
+        (
+            "gemm Xeon",
+            &[16, 4, 2, 2, 4, 2, 4, 8, 2, 16, 8, 0, 1, 2, 1, 1, 0, 1, 4, 1],
+            0x3f03_ca86_8fe3_fa4e,
+            796,
+            0x4083_fbc3_9f8f_1e4c,
+        ),
+        (
+            "gemm VU9P",
+            &[
+                8, 4, 8, 1, 1, 2, 8, 16, 4, 64, 1, 1, 0, 2, 0, 1, 0, 1, 16, 3,
+            ],
+            0x3f22_61da_3d7b_8e6f,
+            793,
+            0x4083_f61e_3211_3bc2,
+        ),
+        (
+            "conv2d V100",
+            &[
+                1, 1, 1, 1, 1, 1, 64, 1, 1, 1, 14, 1, 14, 1, 1, 1, 4, 8, 1, 1, 3, 1, 1, 3, 1, 0, 1,
+                2, 3, 4, 1, 1, 1, 1, 8, 2,
+            ],
+            0x3ee9_c495_0c37_ec1f,
+            794,
+            0x4083_e58e_fd71_b3a6,
+        ),
+        (
+            "conv2d Xeon",
+            &[
+                1, 1, 1, 1, 4, 2, 8, 1, 14, 1, 1, 1, 1, 1, 1, 14, 2, 16, 1, 1, 1, 3, 1, 1, 3, 2, 1,
+                0, 3, 2, 0, 1, 0, 1, 1, 1,
+            ],
+            0x3eeb_e629_b64e_4fd2,
+            796,
+            0x4083_f0f1_bcee_527a,
+        ),
+        (
+            "conv2d VU9P",
+            &[
+                1, 1, 1, 1, 4, 4, 1, 4, 1, 1, 1, 14, 1, 1, 7, 2, 2, 4, 4, 1, 3, 1, 3, 1, 1, 3, 2,
+                0, 1, 2, 1, 1, 0, 0, 8, 3,
+            ],
+            0x3efc_f62f_f28b_f91c,
+            796,
+            0x4083_f49c_0023_8699,
+        ),
+    ];
+    for ((g, d), pin) in pin_runs().iter().zip(pins) {
+        assert_pinned(g, d, Method::RandomWalk, &SearchOptions::default(), pin);
+    }
+}
+
+/// A pinned warm-started Q-method run on the FPGA model. The warm seed is
+/// adapted onto the op as stored, so it is not normalized to the target
+/// (vectorize off, shared-memory caching on, a partition factor of 3);
+/// the neighbors proposed from it get the target's defaults.
+#[test]
+fn warm_started_fpga_q_method_is_pinned() {
+    use flextensor_sim::spec::vu9p;
+    let g = ops::gemm(256, 256, 256);
+    let d = Device::Fpga(vu9p());
+    let opts = SearchOptions {
+        warm_start: vec![vec![
+            4, 2, 8, 3, 2, 4, 4, 8, 16, 4, 5, 1, 0, 2, 1, 0, 1, 1, 3, 2,
+        ]],
+        ..SearchOptions::default()
+    };
+    let seed = flextensor_explore::warm::adapt_encoding(g.anchor_op(), &opts.warm_start[0])
+        .expect("adapts");
+    assert!(
+        !seed.vectorize && seed.cache_shared && seed.fpga_partition == 3,
+        "the adapted seed must not be target-normalized: {seed}"
+    );
+    let r = assert_pinned(
+        &g,
+        &d,
+        Method::QMethod,
+        &opts,
+        (
+            "warm gemm VU9P",
+            &[
+                16, 2, 4, 2, 2, 1, 4, 32, 4, 4, 16, 0, 1, 1, 1, 1, 0, 1, 16, 3,
+            ],
+            0x3f22_61da_3d7b_8e6f,
+            799,
+            0x4084_0b96_a24a_89ab,
+        ),
+    );
+    assert_eq!(r.warm_seeds, 1, "the warm seed must join the seed batch");
 }

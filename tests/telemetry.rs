@@ -205,6 +205,25 @@ fn committed_fixture_replays_exactly() {
     assert!(best_seconds.is_finite() && best_seconds > 0.0);
 }
 
+/// The P-method and random-walk fixtures, which CI re-records: both
+/// replay to their own run summary.
+#[test]
+fn committed_p_and_walk_fixtures_replay_exactly() {
+    for (file, method, trials) in [
+        ("trace_p_gemm256.jsonl", "p-method", 3),
+        ("trace_walk_gemm256.jsonl", "random-walk", 40),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/bench/fixtures")
+            .join(file);
+        let events = read_trace_file(&path).unwrap();
+        let r = replay(&events).unwrap();
+        assert!(r.summary_matches(), "{file} no longer replays: {r:#?}");
+        assert_eq!(r.run.method, method, "{file}");
+        assert_eq!(r.run.trials, trials, "{file}");
+    }
+}
+
 /// The graph-tuning fixture: an ordinary search trace carrying
 /// `graph_plan` / `graph_round` events. The replayer must tolerate them
 /// (still fold the run exactly) *and* surface them for inspection.
