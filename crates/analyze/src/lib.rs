@@ -45,11 +45,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod region;
 pub mod report;
 pub mod rules;
 
-pub use region::{analyze_region, FlagChoice, Region, RegionVerdict};
 pub use report::{Diagnostic, Report, Severity};
 pub use rules::{feature_legality, registry, AnalysisInput, Lint, RuleGroup};
 

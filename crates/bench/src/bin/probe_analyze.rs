@@ -15,13 +15,6 @@
 //!   (dot-joined `NodeConfig::encode` vector over the suite's small
 //!   conformance shape for `--kind`). Exit code 1 when the analyzer
 //!   reports `Error`-level diagnostics.
-//! * `region` — the deterministic region-analysis audit: run a seeded
-//!   region-gated search on the three `probe_perf` workloads and report
-//!   each root factor box's certified cost bound against the realized
-//!   best, plus the live-gate and certification-sweep counters. CI diffs
-//!   the output against the committed golden copy
-//!   (`crates/conformance/region-golden.txt`). Exit code 1 when any
-//!   certified bound excludes its workload's realized best.
 //!
 //! Both subcommands accept `--json` for the machine-readable report (see
 //! `docs/ANALYZE.md` for the schema) and `--corpus DIR` to audit a
@@ -52,21 +45,10 @@ fn main() -> ExitCode {
     match mode.as_str() {
         "corpus" => run_corpus(),
         "check" => run_check(),
-        "region" => run_region(),
         other => {
-            eprintln!("unknown subcommand `{other}`; expected corpus | check | region");
+            eprintln!("unknown subcommand `{other}`; expected corpus | check");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn run_region() -> ExitCode {
-    let report = flextensor_conformance::region_audit();
-    print!("{}", report.text);
-    if report.violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

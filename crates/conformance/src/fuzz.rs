@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use crate::corpus::{Expectation, Fixture};
 use crate::gen::{mutate, ALL_MUTATIONS};
 use crate::oracle::{
-    check_analyzer, check_model, check_mutant_rejected, check_region, check_semantic,
-    check_store_roundtrip, check_structural, check_worker_invariance, oracle_devices, Tier,
+    check_analyzer, check_model, check_mutant_rejected, check_semantic, check_store_roundtrip,
+    check_structural, check_worker_invariance, oracle_devices, Tier,
 };
 use crate::shrink::shrink;
 
@@ -60,8 +60,6 @@ pub struct FuzzReport {
     pub invariance_checks: u64,
     /// Static-analyzer verdicts checked against the dynamic layers.
     pub analyzer_checks: u64,
-    /// Region-analysis certificates checked against concrete member costs.
-    pub region_checks: u64,
     /// Tuning-record store round-trips checked for fidelity.
     pub store_checks: u64,
     /// Every failure, in discovery order.
@@ -91,10 +89,6 @@ impl FuzzReport {
         out.push_str(&format!(
             "  analyzer:   {} verdicts\n",
             self.analyzer_checks
-        ));
-        out.push_str(&format!(
-            "  region:     {} certificates\n",
-            self.region_checks
         ));
         out.push_str(&format!(
             "  store:      {} round-trips\n",
@@ -271,33 +265,6 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
             });
         }
 
-        // Tier 6: region-analysis soundness. The interval verdict over
-        // the join of the sampled point and two fresh draws must be
-        // sound for every member's concrete cost: an `Illegal` region
-        // holds no feasible member, and no member's cost escapes a
-        // `Bounded` region's certified [lo, hi] — so branch-and-bound
-        // pruning can never discard a config that beats the incumbent.
-        report.region_checks += 1;
-        let members = [
-            cfg.clone(),
-            space.random_point(&mut rng),
-            space.random_point(&mut rng),
-        ];
-        if let Err(message) = check_region(&slot.graph, &members, device) {
-            report.violations.push(Violation {
-                tier: Tier::Region,
-                message,
-                fixture: Fixture {
-                    name: format!("{case}-region"),
-                    kind,
-                    target,
-                    expect: Expectation::Pass,
-                    encoded: cfg.encode(),
-                    note: format!("region soundness violation, fuzz seed {}", opts.seed),
-                },
-            });
-        }
-
         // Tier 5 (sampled sparsely — each check does real file I/O): a
         // point's tuning record survives the persistence loop byte- and
         // bit-identically.
@@ -400,7 +367,6 @@ mod tests {
         assert_eq!(r.semantic_checks, 45);
         assert_eq!(r.model_checks, 45);
         assert_eq!(r.analyzer_checks, 45);
-        assert_eq!(r.region_checks, 45);
         assert!(r.invariance_checks > 0, "leftover batches must flush");
         assert!(
             r.violations.is_empty(),

@@ -12,8 +12,8 @@
 //!    `interp::reference` on small shapes), model (CPU/GPU/FPGA costs
 //!    finite, positive, and invariant to the number of eval workers),
 //!    analyzer (`flextensor-analyze` static verdicts agree with the cost
-//!    models and the interpreter), and region (interval certificates
-//!    over factor boxes are sound for their concrete members).
+//!    models and the interpreter), and store (tuning records survive the
+//!    persistence loop).
 //! 3. [`shrink`](mod@shrink) greedily minimizes any failing config per field until
 //!    every remaining non-naive field is load-bearing.
 //! 4. [`corpus`] stores shrunk cases as JSON fixtures that replay as
@@ -32,7 +32,6 @@ pub mod corpus;
 pub mod fuzz;
 pub mod gen;
 pub mod oracle;
-pub mod region_audit;
 pub mod shrink;
 
 pub use audit::{audit_corpus, audit_fixture, AuditEntry, AuditReport};
@@ -40,8 +39,7 @@ pub use corpus::{load_corpus, seed_corpus, Expectation, Fixture};
 pub use fuzz::{fuzz, FuzzOptions, FuzzReport, Violation};
 pub use gen::{mutate, Mutation, ALL_MUTATIONS};
 pub use oracle::{
-    check_analyzer, check_model, check_mutant_rejected, check_region, check_semantic,
-    check_structural, check_worker_invariance, oracle_devices, Tier, SEMANTIC_TOL,
+    check_analyzer, check_model, check_mutant_rejected, check_semantic, check_structural,
+    check_worker_invariance, oracle_devices, Tier, SEMANTIC_TOL,
 };
-pub use region_audit::{region_audit, RegionAuditReport};
 pub use shrink::shrink;

@@ -17,10 +17,8 @@
 //!   dynamic layers: an `Error`-level report implies the cost model
 //!   rejects the schedule, and an analyzer-clean, model-feasible schedule
 //!   must execute without diverging from the reference.
-//! * **Region** — the abstract interpretation over a factor box is sound
-//!   for its concrete members: an `Illegal` region holds no feasible
-//!   config, and no member's cost escapes a `Bounded` region's certified
-//!   `[lo, hi]`.
+//! * **Store** — the point's tuning record survives the
+//!   `flextensor-tunedb` persistence loop bit for bit.
 
 use flextensor_explore::pool::EvalPool;
 use flextensor_interp::machine::check_against_reference;
@@ -48,9 +46,6 @@ pub enum Tier {
     Analyzer,
     /// Tuning-record persistence fidelity (serialize → store → recover).
     Store,
-    /// Region-analysis soundness: interval verdicts over a factor box
-    /// vs. the concrete costs of its sampled members.
-    Region,
 }
 
 impl std::fmt::Display for Tier {
@@ -61,7 +56,6 @@ impl std::fmt::Display for Tier {
             Tier::Model => "model",
             Tier::Analyzer => "analyzer",
             Tier::Store => "store",
-            Tier::Region => "region",
         })
     }
 }
@@ -254,84 +248,6 @@ pub fn check_analyzer(
     }
 }
 
-/// Region oracle: the abstract interpretation's verdict over a factor
-/// box must be sound with respect to every concrete member.
-///
-/// The region is the join of all `members`, so each member belongs by
-/// construction. The oracle then checks the two soundness claims the
-/// region gate and the certification sweep rely on:
-///
-/// * [`RegionVerdict::Illegal`](flextensor_analyze::RegionVerdict)
-///   certifies every member is statically illegal, so the cost model
-///   must reject (`evaluate` → `None`) each one.
-/// * [`RegionVerdict::Bounded`](flextensor_analyze::RegionVerdict)
-///   `{lo, hi}` certifies every member with a concrete cost `s` has
-///   `lo <= s <= hi` — in particular, branch-and-bound pruning
-///   (`lo > incumbent`) can never discard a region holding a config
-///   that beats the incumbent.
-///
-/// # Errors
-///
-/// Returns a description of the first member that falsifies the
-/// region's certificate.
-pub fn check_region(graph: &Graph, members: &[NodeConfig], device: &Device) -> Result<(), String> {
-    use flextensor_analyze::{analyze_region, Region, RegionVerdict};
-    use flextensor_schedule::template::LoweredTemplate;
-
-    let target = device.target();
-    let Some(region) = Region::join(members) else {
-        return Ok(()); // empty or shape-mismatched sample: nothing to certify
-    };
-    for (i, m) in members.iter().enumerate() {
-        if !region.contains(m) {
-            return Err(format!(
-                "{target}: member {i} escapes the join of its own sample"
-            ));
-        }
-    }
-    let evaluator = Evaluator::new(device.clone());
-    let tpl = LoweredTemplate::new(graph, target);
-    match analyze_region(&tpl, &region, &evaluator) {
-        RegionVerdict::Illegal(d) => {
-            for (i, m) in members.iter().enumerate() {
-                if let Some(c) = evaluator.evaluate(graph, m) {
-                    return Err(format!(
-                        "{target}: region certified illegal ({} at {}) yet member {i} \
-                         costs {:.3e}s",
-                        d.rule, d.span, c.seconds
-                    ));
-                }
-            }
-        }
-        RegionVerdict::Bounded { lo, hi } => {
-            let mut best = f64::INFINITY;
-            for (i, m) in members.iter().enumerate() {
-                if let Some(c) = evaluator.evaluate(graph, m) {
-                    if c.seconds < lo || c.seconds > hi {
-                        return Err(format!(
-                            "{target}: member {i} cost {:.6e}s escapes certified bounds \
-                             [{lo:.6e}, {hi:.6e}]",
-                            c.seconds
-                        ));
-                    }
-                    best = best.min(c.seconds);
-                }
-            }
-            // Redundant with the per-member check, but states the
-            // branch-and-bound property in its own terms: a region
-            // containing a member of cost `best` must never satisfy the
-            // prune criterion against an incumbent at least as slow.
-            if best.is_finite() && lo > best {
-                return Err(format!(
-                    "{target}: certified lower bound {lo:.6e} exceeds a member's \
-                     concrete cost {best:.6e} — an unsound prune"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Model oracle, batch half: evaluating `configs` through a serial pool
 /// and a multi-worker pool must produce identical outcomes (the
 /// `eval_workers` invariance the parallel back-end guarantees).
@@ -511,27 +427,6 @@ mod tests {
                 let p = space.random_point(&mut rng);
                 for d in oracle_devices() {
                     check_analyzer(&g, &p, &d, 9)
-                        .unwrap_or_else(|e| panic!("{}/{}: {e}", g.name, d.name()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn region_oracle_holds_on_naive_and_random_samples() {
-        for kind in [OperatorKind::Gemm, OperatorKind::Conv2d] {
-            let g = small_case(kind);
-            let naive = NodeConfig::naive(g.anchor_op());
-            for d in oracle_devices() {
-                check_region(&g, std::slice::from_ref(&naive), &d)
-                    .unwrap_or_else(|e| panic!("{}/{}: {e}", g.name, d.name()));
-            }
-            let space = Space::new(&g, TargetKind::Gpu);
-            let mut rng = StdRng::seed_from_u64(17);
-            for _ in 0..6 {
-                let members: Vec<_> = (0..3).map(|_| space.random_point(&mut rng)).collect();
-                for d in oracle_devices() {
-                    check_region(&g, &members, &d)
                         .unwrap_or_else(|e| panic!("{}/{}: {e}", g.name, d.name()));
                 }
             }

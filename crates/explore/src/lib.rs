@@ -53,7 +53,6 @@ pub mod pool;
 pub mod qlearn;
 pub mod sa;
 pub mod space;
-pub mod sweep;
 mod table;
 pub mod warm;
 

@@ -118,13 +118,9 @@ pub struct SearchOptions {
     /// is kept only because the frozen repository benchmark names it, and
     /// goes with the next change to that benchmark.
     pub delta_eval: bool,
-    /// Run the end-of-run certification sweep ([`crate::sweep::certify`]):
-    /// a zero-evaluation branch-and-bound over the factor space around the
-    /// best point, using the region analysis
-    /// ([`flextensor_analyze::analyze_region`]) to certify how much of it
-    /// provably cannot beat the best. The sweep runs after the search and
-    /// never changes its result. Its counters show up in
-    /// [`SearchResult::region_sweep`] and a `region_stats` trace record.
+    /// Has no effect. The search keeps no region analysis. The field is
+    /// kept only because the frozen repository benchmark names it, and
+    /// goes with the next change to that benchmark.
     pub region_gate: bool,
     /// Structured trace sink (disabled by default). When enabled, the
     /// search emits the full event stream of `docs/TRACE_FORMAT.md`:
@@ -212,11 +208,6 @@ pub struct SearchResult {
     /// Warm-start encodings that were successfully adapted and absorbed
     /// into the trial-0 seed batch (0 for cold searches).
     pub warm_seeds: usize,
-    /// Counters from the end-of-run certification sweep
-    /// ([`crate::sweep::certify`]); present iff
-    /// [`SearchOptions::region_gate`] was enabled. The sweep performs no
-    /// concrete evaluations and cannot change the search result.
-    pub region_sweep: Option<crate::sweep::RegionSweep>,
 }
 
 /// Errors from exploration.
@@ -545,29 +536,8 @@ pub fn search(
         .ok_or_else(|| SearchError("no feasible schedule found".into()))?;
     let best = best.clone();
     let seconds = 1.0 / e;
-    // End-of-run certification sweep: zero evaluations, no history
-    // access — it can only produce counters, never change the result.
-    let region_sweep = opts.region_gate.then(|| {
-        crate::sweep::certify(
-            graph,
-            evaluator,
-            &best,
-            seconds,
-            crate::sweep::DEFAULT_SWEEP_REGIONS,
-        )
-    });
     if tel.is_enabled() {
         let stats = d.pool.stats();
-        if let Some(sweep) = &region_sweep {
-            tel.emit(TraceEvent::RegionStats {
-                trial: trace.last().map_or(0, |t| t.trial),
-                swept: sweep.examined,
-                sweep_illegal: sweep.certified_illegal,
-                sweep_pruned: sweep.certified_pruned,
-                sweep_open: sweep.open,
-                sweep_truncated: sweep.truncated,
-            });
-        }
         tel.emit(TraceEvent::RunSummary {
             trials: trace.last().map_or(0, |t| t.trial),
             measurements: d.measurements,
@@ -593,7 +563,6 @@ pub fn search(
         space_size,
         eval_stats: d.pool.stats(),
         warm_seeds,
-        region_sweep,
     })
 }
 
@@ -775,16 +744,24 @@ mod tests {
     }
 
     #[test]
-    fn region_sweep_leaves_the_search_untouched() {
+    fn region_gate_changes_nothing() {
+        use flextensor_telemetry::MemorySink;
+        use std::sync::Arc;
+
         let g = ops::gemm(256, 256, 256);
         let ev = Evaluator::new(Device::Gpu(v100()));
+        // Wall-clock time is the one field that may differ between runs.
+        let stats = |s: EvalStats| EvalStats {
+            wall_clock_s: 0.0,
+            ..s
+        };
         for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
             let off = search(&g, &ev, m, &quick_opts(10)).unwrap();
+            let sink = Arc::new(MemorySink::new());
             let mut opts = quick_opts(10);
             opts.region_gate = true;
+            opts.telemetry = Telemetry::new(sink.clone());
             let on = search(&g, &ev, m, &opts).unwrap();
-            // The sweep runs after the search and evaluates nothing, so
-            // the whole trajectory is bit-identical.
             assert_eq!(on.best.encode(), off.best.encode(), "{m}");
             assert_eq!(
                 on.best_cost.seconds.to_bits(),
@@ -792,58 +769,21 @@ mod tests {
                 "{m}"
             );
             assert_eq!(on.trace, off.trace, "{m}");
-            assert_eq!(on.eval_stats.evaluated, off.eval_stats.evaluated, "{m}");
-            // The certification sweep ran and its counters are sane.
-            assert_eq!(off.region_sweep, None, "{m}");
-            let sweep = on.region_sweep.expect("gated run must sweep");
-            assert!(sweep.examined > 0, "{m}");
+            assert_eq!(stats(on.eval_stats), stats(off.eval_stats), "{m}");
+            let events = sink.events();
             assert!(
-                sweep.open >= 1,
-                "{m}: the best point's region must stay open: {sweep:?}"
+                events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::RunSummary { .. })),
+                "{m}: the traced run must be recorded"
+            );
+            assert!(
+                !events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::RegionStats { .. })),
+                "{m}: no writer emits region_stats"
             );
         }
-    }
-
-    #[test]
-    fn region_sweep_traces_still_replay_exactly() {
-        use flextensor_telemetry::{replay, MemorySink};
-        use std::sync::Arc;
-
-        let g = ops::gemm(256, 256, 256);
-        let ev = Evaluator::new(Device::Gpu(v100()));
-        let sink = Arc::new(MemorySink::new());
-        let mut opts = quick_opts(6);
-        opts.region_gate = true;
-        opts.telemetry = Telemetry::new(sink.clone());
-        let r = search(&g, &ev, Method::QMethod, &opts).unwrap();
-
-        let events = sink.events();
-        let rep = replay::replay(&events).unwrap();
-        assert!(rep.summary_matches(), "{:#?}", rep.replayed);
-        match rep.region {
-            Some(TraceEvent::RegionStats {
-                swept,
-                sweep_illegal,
-                sweep_pruned,
-                sweep_open,
-                sweep_truncated,
-                ..
-            }) => {
-                let sweep = r.region_sweep.unwrap();
-                assert_eq!(swept, sweep.examined);
-                assert_eq!(sweep_illegal, sweep.certified_illegal);
-                assert_eq!(sweep_pruned, sweep.certified_pruned);
-                assert_eq!(sweep_open, sweep.open);
-                assert_eq!(sweep_truncated, sweep.truncated);
-            }
-            other => panic!("a swept run must record region_stats, got {other:?}"),
-        }
-        // A run without the sweep carries no region record at all.
-        let sink2 = Arc::new(MemorySink::new());
-        let mut plain = quick_opts(6);
-        plain.telemetry = Telemetry::new(sink2.clone());
-        search(&g, &ev, Method::QMethod, &plain).unwrap();
-        assert!(replay::replay(&sink2.events()).unwrap().region.is_none());
     }
 
     #[test]

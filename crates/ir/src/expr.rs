@@ -1,4 +1,4 @@
-//! Scalar expression AST used in compute bodies and tensor index expressions.
+//! The expression AST of scalar values used in compute bodies and tensor index expressions.
 //!
 //! Expressions are untyped at construction and evaluated dynamically by the
 //! interpreter to either an integer (for index arithmetic) or a float (for

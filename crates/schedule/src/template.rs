@@ -512,9 +512,7 @@ pub(crate) fn feat_vector_len(cfg: &NodeConfig) -> i64 {
 /// DDR refetch bound of the FPGA stream model: a tensor is fetched from
 /// DDR at most this many times over the whole run (on-chip reuse across
 /// rounds, e.g. weights stay resident while spatial rounds advance).
-/// Shared by [`feat_fpga`] and the region-bounds path so the two cannot
-/// drift.
-pub(crate) const DDR_REFETCH_CAP: f64 = 8.0;
+const DDR_REFETCH_CAP: f64 = 8.0;
 
 /// The full FPGA feature block: PE array size, sequential rounds, BRAM
 /// buffer and DDR stream bytes under the per-round tile environment.
@@ -629,361 +627,6 @@ pub(crate) fn compute_features(
     features
 }
 
-// ---------------------------------------------------------------------
-// Region bounds: abstract transfer functions of the feature kernels over
-// a *box* of configs (per-(axis,level) factor ranges with all discrete
-// coordinates fixed). Every member config's tile slots satisfy
-// `lo_slot ⊆ member_slot ⊆ hi_slot`, and the evaluator below propagates
-// that nesting through the index arithmetic, so the resulting feature
-// bounds enclose every member's concrete features.
-// ---------------------------------------------------------------------
-
-/// Inner/outer interval bounds of one compiled index expression over a box
-/// of slot environments.
-///
-/// Invariant: for every member slot assignment with
-/// `lo[i] ⊆ member[i] ⊆ hi[i]`, the member's [`eval_slot`] result `r`
-/// satisfies `inner ⊆ r ⊆ outer` (when `inner` is `Some`; `None` means no
-/// inner bound could be maintained, and callers fall back to the trivial
-/// "every interval is non-empty" length bound of 1).
-///
-/// `Add`/`Sub`/`Mul`/`Min`/`Max`/`Hull` are inclusion-monotone, so nesting
-/// propagates directly. `Div` and `Mod` in [`eval_slot`] branch on the
-/// divisor being a known point, which members inside the box may or may
-/// not satisfy; those arms widen the outer bound to cover every branch a
-/// member could take and drop the inner bound unless every member
-/// provably takes the same branch.
-pub(crate) fn eval_slot_bounds(
-    e: &SlotExpr,
-    lo: &[Interval],
-    hi: &[Interval],
-) -> (Option<Interval>, Interval) {
-    match e {
-        SlotExpr::Const(v) => (Some(Interval::point(*v)), Interval::point(*v)),
-        SlotExpr::Slot(i) => (Some(lo[*i]), hi[*i]),
-        SlotExpr::Bin(op, a, b) => {
-            let (xin, xout) = eval_slot_bounds(a, lo, hi);
-            let (yin, yout) = eval_slot_bounds(b, lo, hi);
-            let lift = |f: fn(Interval, Interval) -> Interval| {
-                (
-                    match (xin, yin) {
-                        (Some(x), Some(y)) => Some(f(x, y)),
-                        _ => None,
-                    },
-                    f(xout, yout),
-                )
-            };
-            // Arithmetic here saturates: huge sweep boxes (factor ranges up
-            // to the full axis extent on every level) can push products past
-            // i64. Saturation equals exact arithmetic whenever the exact
-            // value fits — every valid member's does — and otherwise only
-            // loosens the *outer* bound, which stays a sound enclosure.
-            match op {
-                BinOp::Add => {
-                    lift(|x, y| Interval::new(x.lo.saturating_add(y.lo), x.hi.saturating_add(y.hi)))
-                }
-                BinOp::Sub => {
-                    lift(|x, y| Interval::new(x.lo.saturating_sub(y.hi), x.hi.saturating_sub(y.lo)))
-                }
-                BinOp::Mul => lift(|x, y| {
-                    let c = [
-                        x.lo.saturating_mul(y.lo),
-                        x.lo.saturating_mul(y.hi),
-                        x.hi.saturating_mul(y.lo),
-                        x.hi.saturating_mul(y.hi),
-                    ];
-                    Interval::new(
-                        *c.iter().min().expect("non-empty"),
-                        *c.iter().max().expect("non-empty"),
-                    )
-                }),
-                BinOp::Min => lift(|x, y| Interval::new(x.lo.min(y.lo), x.hi.min(y.hi))),
-                BinOp::Max => lift(|x, y| Interval::new(x.lo.max(y.lo), x.hi.max(y.hi))),
-                BinOp::Div => {
-                    if yout.lo == yout.hi && yout.lo != 0 {
-                        // Every member divisor is this exact point, so every
-                        // member takes eval_slot's point-divisor arm, which
-                        // is inclusion-monotone in the numerator.
-                        let d = yout.lo;
-                        let div_pt = |x: Interval| {
-                            let c = [x.lo.saturating_div(d), x.hi.saturating_div(d)];
-                            Interval::new(*c.iter().min().unwrap(), *c.iter().max().unwrap())
-                        };
-                        (xin.map(div_pt), div_pt(xout))
-                    } else {
-                        // Members may take either arm. Both arms' results
-                        // have magnitude at most max(|x.lo|, |x.hi|) of the
-                        // member numerator, which xout's magnitude bounds.
-                        let m = xout.lo.saturating_abs().max(xout.hi.saturating_abs());
-                        (None, Interval::new(m.saturating_neg(), m))
-                    }
-                }
-                BinOp::Mod => {
-                    if yout.lo == yout.hi && yout.lo > 0 {
-                        let md = yout.lo;
-                        if xout.lo >= 0 && xout.hi < md {
-                            // Every member numerator already lies in
-                            // [0, md): eval_slot passes it through.
-                            (xin, xout)
-                        } else {
-                            // Members either pass through (⊆ xout) or clamp
-                            // to [0, min(md-1, len-1)] ⊆ [0, md-1].
-                            (None, Interval::new(xout.lo.min(0), xout.hi.max(md - 1)))
-                        }
-                    } else {
-                        // Member divisors may be points (pass-through or
-                        // clamp to [0, md-1] with md ≤ yout.hi) or wide
-                        // (eval_slot's zero-anchored fallback ⊆
-                        // [min(x.lo,0), max(x.hi,0)]).
-                        (
-                            None,
-                            Interval::new(
-                                xout.lo.min(0),
-                                xout.hi.max(yout.hi.saturating_sub(1)).max(0),
-                            ),
-                        )
-                    }
-                }
-            }
-        }
-        SlotExpr::Hull(a, b) => {
-            let (xin, xout) = eval_slot_bounds(a, lo, hi);
-            let (yin, yout) = eval_slot_bounds(b, lo, hi);
-            (
-                match (xin, yin) {
-                    (Some(x), Some(y)) => Some(x.hull(y)),
-                    _ => None,
-                },
-                xout.hull(yout),
-            )
-        }
-    }
-}
-
-/// Bounds on one tensor's load footprint in bytes over a slot box: the
-/// `(lower, upper)` pair encloses [`loads_footprint_bytes`]' per-group
-/// contribution for every member slot assignment. When an index lacks an
-/// inner bound, its length contributes the trivial lower bound 1.
-pub(crate) fn group_footprint_bounds(
-    g: &CompiledGroup,
-    lo: &[Interval],
-    hi: &[Interval],
-) -> (i64, i64) {
-    // Saturating length/products: outer intervals of a huge sweep box can
-    // exceed i64; saturation only raises the upper bound (sound) and is
-    // exact whenever the true footprint fits.
-    let sat_len = |iv: Interval| iv.hi.saturating_sub(iv.lo).saturating_add(1);
-    let (fp_lo, fp_hi) = g
-        .sites
-        .iter()
-        .map(|ix| {
-            ix.iter().fold((1i64, 1i64), |(pl, ph), e| {
-                let (inner, outer) = eval_slot_bounds(e, lo, hi);
-                (
-                    pl.saturating_mul(inner.map_or(1, sat_len)),
-                    ph.saturating_mul(sat_len(outer)),
-                )
-            })
-        })
-        .fold((0i64, 0i64), |(ml, mh), (pl, ph)| (ml.max(pl), mh.max(ph)));
-    (fp_lo.saturating_mul(4), fp_hi.saturating_mul(4))
-}
-
-/// Bounds on the summed load footprint ([`loads_footprint_bytes`]) over a
-/// slot box: sums the per-group bounds.
-pub(crate) fn loads_footprint_bounds(
-    groups: &[CompiledGroup],
-    lo: &[Interval],
-    hi: &[Interval],
-) -> (i64, i64) {
-    groups.iter().fold((0i64, 0i64), |(tl, th), g| {
-        let (gl, gh) = group_footprint_bounds(g, lo, hi);
-        (tl.saturating_add(gl), th.saturating_add(gh))
-    })
-}
-
-/// Computes per-field bounds on [`compute_features`] over a box of
-/// configs: `lo_cfg` carries every split factor at its range minimum,
-/// `hi_cfg` at its range maximum, and both agree on every discrete
-/// coordinate (reorder, fuse, flags, FPGA partition/pipeline). Returns
-/// `(lo, hi)` feature rows such that every member config's features lie
-/// componentwise between them.
-///
-/// Product-of-factor features (grid, threads, tiles, reduce levels,
-/// vector length, PE/rounds) are monotone in each factor, so their bounds
-/// are the corner values. Footprint features go through
-/// [`eval_slot_bounds`], and the FPGA stream term — `min` of a footprint
-/// and a rounds-antitone amortization — pairs the footprint corner with
-/// the *opposite* rounds corner.
-pub(crate) fn compute_feature_bounds(
-    root: &ComputeOp,
-    lo_cfg: &NodeConfig,
-    hi_cfg: &NodeConfig,
-    target: TargetKind,
-    groups: &[CompiledGroup],
-    consts: &FeatureConsts,
-) -> (KernelFeatures, KernelFeatures) {
-    debug_assert_eq!(lo_cfg.reorder, hi_cfg.reorder);
-    debug_assert_eq!(lo_cfg.fuse_outer, hi_cfg.fuse_outer);
-    debug_assert_eq!(lo_cfg.unroll, hi_cfg.unroll);
-    debug_assert_eq!(lo_cfg.vectorize, hi_cfg.vectorize);
-    debug_assert_eq!(lo_cfg.cache_shared, hi_cfg.cache_shared);
-    debug_assert_eq!(lo_cfg.inline_data, hi_cfg.inline_data);
-
-    // Saturating level products: a sweep-box corner can carry the full
-    // axis extent on every level, whose product across axes may exceed
-    // i64. Saturation matches `NodeConfig::spatial_level_product` exactly
-    // whenever the product fits (every valid member's does) and otherwise
-    // only inflates the hi corner — a sound, looser upper bound.
-    let sp = |cfg: &NodeConfig, k: usize| -> i64 {
-        cfg.spatial_splits
-            .iter()
-            .fold(1i64, |p, f| p.saturating_mul(f[k]))
-    };
-    let rp = |cfg: &NodeConfig, k: usize| -> i64 {
-        cfg.reduce_splits
-            .iter()
-            .fold(1i64, |p, f| p.saturating_mul(f[k]))
-    };
-    let chunks = |cfg: &NodeConfig| -> i64 {
-        cfg.reorder
-            .iter()
-            .take(cfg.fuse_outer)
-            .fold(1i64, |p, &ax| p.saturating_mul(cfg.spatial_splits[ax][0]))
-    };
-
-    let mut s_lo = SlotScratch::new();
-    let mut s_hi = SlotScratch::new();
-
-    let (shared_lo, shared_hi) = loads_footprint_bounds(
-        groups,
-        s_lo.set_tile(root, lo_cfg, &[1, 2, 3], &[1, 2]),
-        s_hi.set_tile(root, hi_cfg, &[1, 2, 3], &[1, 2]),
-    );
-    let (ti_lo, ti_hi) = loads_footprint_bounds(
-        groups,
-        s_lo.set_tile(root, lo_cfg, &[3], &[]),
-        s_hi.set_tile(root, hi_cfg, &[3], &[]),
-    );
-    let unroll_mult = if lo_cfg.unroll { 2 } else { 1 };
-    let treg_lo = sp(lo_cfg, 3)
-        .saturating_mul(sp(lo_cfg, 1))
-        .saturating_mul(4)
-        .saturating_add(ti_lo.saturating_mul(unroll_mult));
-    let treg_hi = sp(hi_cfg, 3)
-        .saturating_mul(sp(hi_cfg, 1))
-        .saturating_mul(4)
-        .saturating_add(ti_hi.saturating_mul(unroll_mult));
-    let (l1f_lo, l1f_hi) = loads_footprint_bounds(
-        groups,
-        s_lo.set_tile(root, lo_cfg, &[3], &[2]),
-        s_hi.set_tile(root, hi_cfg, &[3], &[2]),
-    );
-    let l1_lo = l1f_lo.saturating_add(sp(lo_cfg, 3).saturating_mul(4));
-    let l1_hi = l1f_hi.saturating_add(sp(hi_cfg, 3).saturating_mul(4));
-    let (l2f_lo, l2f_hi) = loads_footprint_bounds(
-        groups,
-        s_lo.set_tile(root, lo_cfg, &[2, 3], &[1, 2]),
-        s_hi.set_tile(root, hi_cfg, &[2, 3], &[1, 2]),
-    );
-    let l2_lo = l2f_lo.saturating_add(
-        sp(lo_cfg, 2)
-            .saturating_mul(sp(lo_cfg, 3))
-            .saturating_mul(4),
-    );
-    let l2_hi = l2f_hi.saturating_add(
-        sp(hi_cfg, 2)
-            .saturating_mul(sp(hi_cfg, 3))
-            .saturating_mul(4),
-    );
-
-    let data_node_bytes: i64 = if lo_cfg.inline_data {
-        0
-    } else {
-        consts.materialized_data_bytes
-    };
-    let flops = consts.root_flops + consts.epilogue_flops;
-
-    let corner = |cfg: &NodeConfig, shared: i64, treg: i64, l1: i64, l2: i64| KernelFeatures {
-        target,
-        flops,
-        output_elements: consts.output_elements,
-        output_bytes: consts.output_elements * 4,
-        input_bytes_total: consts.input_bytes_total,
-        body_loads: groups.len(),
-        reduce_size: consts.reduce_size,
-        grid: sp(cfg, 0),
-        parallel_chunks: chunks(cfg),
-        vthreads: sp(cfg, 1),
-        block_threads: sp(cfg, 2),
-        thread_tile: sp(cfg, 3),
-        reduce_outer: rp(cfg, 0),
-        reduce_mid: rp(cfg, 1),
-        reduce_inner: rp(cfg, 2),
-        unroll: cfg.unroll,
-        vector_len: feat_vector_len(cfg),
-        contiguous_inner: feat_contiguous_inner(root, cfg),
-        cache_shared: cfg.cache_shared,
-        shared_bytes_per_block: shared,
-        thread_reg_bytes: treg,
-        l1_tile_bytes: l1,
-        l2_tile_bytes: l2,
-        inline_data: cfg.inline_data,
-        data_node_bytes,
-        fpga: None,
-    };
-    let mut f_lo = corner(lo_cfg, shared_lo, treg_lo, l1_lo, l2_lo);
-    let mut f_hi = corner(hi_cfg, shared_hi, treg_hi, l1_hi, l2_hi);
-
-    if target == TargetKind::Fpga {
-        let pe_lo = sp(lo_cfg, 2).saturating_mul(sp(lo_cfg, 3));
-        let pe_hi = sp(hi_cfg, 2).saturating_mul(sp(hi_cfg, 3));
-        let rounds_lo = sp(lo_cfg, 0).saturating_mul(sp(lo_cfg, 1));
-        let rounds_hi = sp(hi_cfg, 0).saturating_mul(sp(hi_cfg, 1));
-        let rs_lo = s_lo.set_tile(root, lo_cfg, &[2, 3], &[0, 1, 2]);
-        let rs_hi = s_hi.set_tile(root, hi_cfg, &[2, 3], &[0, 1, 2]);
-        let amortized = |total: i64, rounds: i64| {
-            ((total as f64 * DDR_REFETCH_CAP / rounds.max(1) as f64).ceil() as i64).max(1)
-        };
-        let (mut buffer_lo, mut buffer_hi) = (0i64, 0i64);
-        let (mut stream_lo, mut stream_hi) = (0i64, 0i64);
-        for g in groups {
-            let (fp_lo, fp_hi) = group_footprint_bounds(g, rs_lo, rs_hi);
-            buffer_lo = buffer_lo.saturating_add(fp_lo);
-            buffer_hi = buffer_hi.saturating_add(fp_hi);
-            let (total_lo, total_hi) = match g.total_bytes {
-                Some(t) => (t, t),
-                None => (fp_lo, fp_hi),
-            };
-            // The amortized term grows with the tensor total and shrinks
-            // as rounds grow, so each stream corner pairs its footprint
-            // corner with the opposite rounds corner.
-            stream_lo = stream_lo.saturating_add(fp_lo.min(amortized(total_lo, rounds_hi)));
-            stream_hi = stream_hi.saturating_add(fp_hi.min(amortized(total_hi, rounds_lo)));
-        }
-        f_lo.fpga = Some(FpgaFeatures {
-            pe: pe_lo,
-            rounds: rounds_lo,
-            buffer_bytes: buffer_lo,
-            stream_bytes: stream_lo,
-            write_bytes: pe_lo.saturating_mul(4),
-            partition: lo_cfg.fpga_partition,
-            pipeline: lo_cfg.fpga_pipeline,
-        });
-        f_hi.fpga = Some(FpgaFeatures {
-            pe: pe_hi,
-            rounds: rounds_hi,
-            buffer_bytes: buffer_hi,
-            stream_bytes: stream_hi,
-            write_bytes: pe_hi.saturating_mul(4),
-            partition: hi_cfg.fpga_partition,
-            pipeline: hi_cfg.fpga_pipeline,
-        });
-    }
-
-    (f_lo, f_hi)
-}
-
 /// The config-independent half of lowering for one (graph, target) pair.
 ///
 /// Build it once per search (the evaluation pool does this for its
@@ -1084,127 +727,6 @@ impl LoweredTemplate {
             &self.consts,
         ))
     }
-
-    /// Sound per-field feature bounds over a *box* of configs.
-    ///
-    /// `lo` and `hi` are the box corners: every split factor of `lo` is at
-    /// its range minimum and every factor of `hi` at its range maximum,
-    /// while all discrete coordinates (reorder, `fuse_outer`, the four
-    /// flags, FPGA partition/pipeline) agree between the two. The corners
-    /// themselves need not be valid schedules — their factor products need
-    /// not divide the axis extents — but the returned `(lo, hi)` feature
-    /// rows componentwise enclose [`LoweredTemplate::features`] of **every
-    /// valid config inside the box** (see `eval_slot_bounds` for the
-    /// index-arithmetic argument). The rows carry identical flags, so they
-    /// feed directly into interval cost evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LowerError`] when the corners do not describe a box:
-    /// split shapes that do not match the root op, factors below 1, a
-    /// `lo` factor above its `hi` partner, or discrete coordinates that
-    /// differ between the corners. Spans follow the
-    /// [`NodeConfig::validate`] format (`spatial_splits[i]: ...`).
-    pub fn feature_bounds(
-        &self,
-        lo: &NodeConfig,
-        hi: &NodeConfig,
-    ) -> Result<(KernelFeatures, KernelFeatures), LowerError> {
-        check_box(&self.root, lo, hi).map_err(LowerError)?;
-        let groups = &self.groups[lo.inline_data as usize];
-        Ok(compute_feature_bounds(
-            &self.root,
-            lo,
-            hi,
-            self.target,
-            groups,
-            &self.consts,
-        ))
-    }
-}
-
-/// Structural validation of a config box: matching split shapes, factors
-/// ≥ 1, `lo ≤ hi` componentwise, and equal discrete coordinates. Spans
-/// mirror [`NodeConfig::validate`].
-fn check_box(root: &ComputeOp, lo: &NodeConfig, hi: &NodeConfig) -> Result<(), String> {
-    use crate::config::{REDUCE_PARTS, SPATIAL_PARTS};
-    for (name, cfg) in [("lo", lo), ("hi", hi)] {
-        if cfg.spatial_splits.len() != root.spatial.len() {
-            return Err(format!(
-                "spatial_splits: {name} corner has {} entries, op has {} spatial axes",
-                cfg.spatial_splits.len(),
-                root.spatial.len()
-            ));
-        }
-        if cfg.reduce_splits.len() != root.reduce.len() {
-            return Err(format!(
-                "reduce_splits: {name} corner has {} entries, op has {} reduce axes",
-                cfg.reduce_splits.len(),
-                root.reduce.len()
-            ));
-        }
-        for (i, f) in cfg.spatial_splits.iter().enumerate() {
-            if f.len() != SPATIAL_PARTS {
-                return Err(format!(
-                    "spatial_splits[{i}]: {name} corner needs {SPATIAL_PARTS} factors, got {}",
-                    f.len()
-                ));
-            }
-            if f.iter().any(|&x| x < 1) {
-                return Err(format!(
-                    "spatial_splits[{i}]: {name} corner factors {f:?} contain a factor below 1"
-                ));
-            }
-        }
-        for (i, f) in cfg.reduce_splits.iter().enumerate() {
-            if f.len() != REDUCE_PARTS {
-                return Err(format!(
-                    "reduce_splits[{i}]: {name} corner needs {REDUCE_PARTS} factors, got {}",
-                    f.len()
-                ));
-            }
-            if f.iter().any(|&x| x < 1) {
-                return Err(format!(
-                    "reduce_splits[{i}]: {name} corner factors {f:?} contain a factor below 1"
-                ));
-            }
-        }
-    }
-    for (i, (fl, fh)) in lo.spatial_splits.iter().zip(&hi.spatial_splits).enumerate() {
-        if fl.iter().zip(fh).any(|(a, b)| a > b) {
-            return Err(format!(
-                "spatial_splits[{i}]: corners {fl:?} and {fh:?} are not a box (lo > hi)"
-            ));
-        }
-    }
-    for (i, (fl, fh)) in lo.reduce_splits.iter().zip(&hi.reduce_splits).enumerate() {
-        if fl.iter().zip(fh).any(|(a, b)| a > b) {
-            return Err(format!(
-                "reduce_splits[{i}]: corners {fl:?} and {fh:?} are not a box (lo > hi)"
-            ));
-        }
-    }
-    if lo.reorder != hi.reorder
-        || lo.fuse_outer != hi.fuse_outer
-        || lo.unroll != hi.unroll
-        || lo.vectorize != hi.vectorize
-        || lo.cache_shared != hi.cache_shared
-        || lo.inline_data != hi.inline_data
-        || lo.fpga_partition != hi.fpga_partition
-        || lo.fpga_pipeline != hi.fpga_pipeline
-    {
-        return Err(
-            "reorder: box corners must agree on every discrete coordinate \
-             (reorder, fuse_outer, flags, fpga_partition, fpga_pipeline)"
-                .to_string(),
-        );
-    }
-    // The shared discrete coordinates must themselves be well-formed, or
-    // the feature kernels would index out of bounds.
-    lo.check_reorder(root)?;
-    lo.check_fuse(root)?;
-    lo.check_fpga_partition()?;
-    lo.check_fpga_pipeline()
 }
 
 #[cfg(test)]
@@ -1257,164 +779,6 @@ mod tests {
         let fast_err = tpl.features(&cfg).unwrap_err();
         let full_err = lower(&g, &cfg, TargetKind::Gpu).unwrap_err();
         assert_eq!(fast_err, full_err);
-    }
-
-    /// Componentwise `lo ≤ m ≤ hi` over every numeric feature field, with
-    /// flags equal across all three rows.
-    fn assert_enclosed(lo: &KernelFeatures, m: &KernelFeatures, hi: &KernelFeatures, tag: &str) {
-        let fields = |f: &KernelFeatures| {
-            let mut v = vec![
-                ("grid", f.grid),
-                ("parallel_chunks", f.parallel_chunks),
-                ("vthreads", f.vthreads),
-                ("block_threads", f.block_threads),
-                ("thread_tile", f.thread_tile),
-                ("reduce_outer", f.reduce_outer),
-                ("reduce_mid", f.reduce_mid),
-                ("reduce_inner", f.reduce_inner),
-                ("vector_len", f.vector_len),
-                ("shared_bytes_per_block", f.shared_bytes_per_block),
-                ("thread_reg_bytes", f.thread_reg_bytes),
-                ("l1_tile_bytes", f.l1_tile_bytes),
-                ("l2_tile_bytes", f.l2_tile_bytes),
-                ("data_node_bytes", f.data_node_bytes),
-                ("flops", f.flops as i64),
-                ("input_bytes_total", f.input_bytes_total),
-                ("output_bytes", f.output_bytes),
-            ];
-            if let Some(fp) = &f.fpga {
-                v.extend([
-                    ("fpga.pe", fp.pe),
-                    ("fpga.rounds", fp.rounds),
-                    ("fpga.buffer_bytes", fp.buffer_bytes),
-                    ("fpga.stream_bytes", fp.stream_bytes),
-                    ("fpga.write_bytes", fp.write_bytes),
-                ]);
-            }
-            v
-        };
-        assert_eq!(lo.unroll, m.unroll, "{tag}");
-        assert_eq!(lo.contiguous_inner, m.contiguous_inner, "{tag}");
-        assert_eq!(lo.cache_shared, m.cache_shared, "{tag}");
-        assert_eq!(lo.fpga.is_some(), m.fpga.is_some(), "{tag}");
-        for ((name, l), ((_, mv), (_, h))) in fields(lo)
-            .into_iter()
-            .zip(fields(m).into_iter().zip(fields(hi)))
-        {
-            assert!(l <= mv && mv <= h, "{tag}: {name}: {l} <= {mv} <= {h}");
-        }
-    }
-
-    /// Joins valid configs into box corners (componentwise factor min/max)
-    /// and checks every input config's features land inside the bounds.
-    fn check_bounds_enclose(g: &flextensor_ir::graph::Graph, cfgs: &[NodeConfig]) {
-        for target in [TargetKind::Cpu, TargetKind::Gpu, TargetKind::Fpga] {
-            let tpl = LoweredTemplate::new(g, target);
-            let mut lo = cfgs[0].clone();
-            let mut hi = cfgs[0].clone();
-            for c in &cfgs[1..] {
-                for (i, f) in c.spatial_splits.iter().enumerate() {
-                    for (l, &x) in f.iter().enumerate() {
-                        lo.spatial_splits[i][l] = lo.spatial_splits[i][l].min(x);
-                        hi.spatial_splits[i][l] = hi.spatial_splits[i][l].max(x);
-                    }
-                }
-                for (i, f) in c.reduce_splits.iter().enumerate() {
-                    for (l, &x) in f.iter().enumerate() {
-                        lo.reduce_splits[i][l] = lo.reduce_splits[i][l].min(x);
-                        hi.reduce_splits[i][l] = hi.reduce_splits[i][l].max(x);
-                    }
-                }
-            }
-            let (b_lo, b_hi) = tpl.feature_bounds(&lo, &hi).unwrap();
-            for (k, c) in cfgs.iter().enumerate() {
-                let m = tpl.features(c).unwrap();
-                assert_enclosed(&b_lo, &m, &b_hi, &format!("{target} member {k}"));
-            }
-        }
-    }
-
-    #[test]
-    fn feature_bounds_enclose_member_configs() {
-        let g = ops::gemm(64, 32, 16);
-        let op = g.root_op();
-        let mut a = NodeConfig::naive(op);
-        a.spatial_splits = vec![vec![4, 2, 4, 2], vec![2, 2, 4, 2]];
-        a.reduce_splits = vec![vec![4, 2, 2]];
-        a.cache_shared = true;
-        let mut b = a.clone();
-        b.spatial_splits = vec![vec![2, 2, 2, 8], vec![8, 1, 2, 2]];
-        b.reduce_splits = vec![vec![2, 4, 2]];
-        let mut c = a.clone();
-        c.spatial_splits = vec![vec![1, 4, 16, 1], vec![4, 4, 1, 2]];
-        c.reduce_splits = vec![vec![16, 1, 1]];
-        check_bounds_enclose(&g, &[a, b, c]);
-    }
-
-    #[test]
-    fn feature_bounds_enclose_members_with_inlined_padding() {
-        // Padded conv exercises Select (hull) and Sub index arithmetic
-        // through the inlined producer chain.
-        let g = ops::conv2d(ConvParams::same(1, 4, 8, 3), 8, 8);
-        let op = g.root_op();
-        let mut a = NodeConfig::naive(op);
-        a.spatial_splits = vec![
-            vec![1, 1, 1, 1],
-            vec![2, 1, 2, 2],
-            vec![2, 2, 2, 1],
-            vec![1, 2, 1, 4],
-        ];
-        a.reduce_splits = vec![vec![2, 2, 1], vec![3, 1, 1], vec![1, 1, 3]];
-        let mut b = a.clone();
-        b.spatial_splits = vec![
-            vec![1, 1, 1, 1],
-            vec![4, 2, 1, 1],
-            vec![1, 1, 4, 2],
-            vec![2, 1, 2, 2],
-        ];
-        b.reduce_splits = vec![vec![1, 4, 1], vec![1, 3, 1], vec![3, 1, 1]];
-        check_bounds_enclose(&g, &[a, b]);
-    }
-
-    #[test]
-    fn feature_bounds_degenerate_box_matches_features_exactly() {
-        let g = ops::gemm(64, 32, 16);
-        let cfg = tiled_gemm_cfg(g.root_op());
-        for target in [TargetKind::Cpu, TargetKind::Gpu, TargetKind::Fpga] {
-            let tpl = LoweredTemplate::new(&g, target);
-            let (lo, hi) = tpl.feature_bounds(&cfg, &cfg).unwrap();
-            let exact = tpl.features(&cfg).unwrap();
-            assert_eq!(lo, exact, "{target}");
-            assert_eq!(hi, exact, "{target}");
-        }
-    }
-
-    #[test]
-    fn feature_bounds_rejects_malformed_boxes() {
-        let g = ops::gemm(64, 32, 16);
-        let tpl = LoweredTemplate::new(&g, TargetKind::Gpu);
-        let base = NodeConfig::naive(g.root_op());
-
-        let mut inverted = base.clone();
-        inverted.spatial_splits[0][3] = 128; // lo factor above hi's 64
-        let err = tpl.feature_bounds(&inverted, &base).unwrap_err();
-        assert!(err.0.starts_with("spatial_splits[0]:"), "{err}");
-        assert!(err.0.contains("not a box"), "{err}");
-
-        let mut flagged = base.clone();
-        flagged.unroll = true;
-        let err = tpl.feature_bounds(&base, &flagged).unwrap_err();
-        assert!(err.0.contains("discrete coordinate"), "{err}");
-
-        let mut short = base.clone();
-        short.spatial_splits[1] = vec![1, 64];
-        let err = tpl.feature_bounds(&short, &base).unwrap_err();
-        assert!(err.0.starts_with("spatial_splits[1]:"), "{err}");
-
-        let mut zero = base.clone();
-        zero.reduce_splits[0][1] = 0;
-        let err = tpl.feature_bounds(&zero, &base).unwrap_err();
-        assert!(err.0.contains("below 1"), "{err}");
     }
 
     #[test]

@@ -17,12 +17,12 @@ use crate::spec::CpuSpec;
 /// this returns `Some` for all valid features; the `Option` keeps the
 /// interface uniform across targets).
 ///
-/// Runs the generic model body at `S = f64`
-/// ([`crate::generic::cpu_time_generic`]). The differential tests in
-/// `crate::generic` pin it bit for bit to the plain-`f64` reference
-/// `cpu_time_row` below, which exists only in test builds.
+/// Runs the model body [`crate::generic::cpu_time_generic`]. The
+/// differential tests in `crate::generic` pin it bit for bit to the
+/// plain-`f64` reference `cpu_time_row` below, which exists only in test
+/// builds.
 pub fn cpu_time(spec: &CpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
-    Some(crate::generic::cpu_time_generic::<f64>(
+    Some(crate::generic::cpu_time_generic(
         spec,
         &crate::generic::CpuIn::of(f),
         code_quality,
@@ -95,7 +95,7 @@ pub(crate) fn cpu_time_row(spec: &CpuSpec, f: CpuRow, code_quality: f64) -> f64 
             v as f64 / vw as f64
         }
     } else {
-        // Scalar code: one lane, but superscalar issue still retires ~2
+        // Unvectorized code: one lane, but superscalar issue still retires ~2
         // scalar FLOPs per cycle.
         1.0 / vw as f64
     };

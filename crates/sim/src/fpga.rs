@@ -23,17 +23,13 @@ use crate::spec::FpgaSpec;
 /// fit (PE count exceeds the DSP budget, or buffers exceed BRAM) or the
 /// features carry no FPGA block (kernel was lowered for another target).
 ///
-/// Runs the generic model body at `S = f64`
-/// ([`crate::generic::fpga_time_generic`]). The differential tests in
-/// `crate::generic` pin it bit for bit to the plain-`f64` reference
-/// `fpga_time_row` below, which exists only in test builds.
+/// Runs the model body [`crate::generic::fpga_time_generic`]. The
+/// differential tests in `crate::generic` pin it bit for bit to the
+/// plain-`f64` reference `fpga_time_row` below, which exists only in test
+/// builds.
 pub fn fpga_time(spec: &FpgaSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
     let fp = f.fpga.as_ref()?;
-    crate::generic::fpga_time_generic::<f64>(
-        spec,
-        &crate::generic::FpgaIn::of(f.flops, fp),
-        code_quality,
-    )
+    crate::generic::fpga_time_generic(spec, &crate::generic::FpgaIn::of(f.flops, fp), code_quality)
 }
 
 /// The exact inputs of the FPGA pipeline model, flattened into one `Copy`

@@ -34,12 +34,12 @@ pub(crate) const UNCACHED_TRAFFIC_PENALTY: f64 = 2.0;
 /// `code_quality` scales achievable compute throughput: ~0.75 for generated
 /// code, higher for hand-tuned vendor kernels.
 ///
-/// Runs the generic model body at `S = f64`
-/// ([`crate::generic::gpu_time_generic`]). The differential tests in
-/// `crate::generic` pin it bit for bit to the plain-`f64` reference
-/// `gpu_time_row` below, which exists only in test builds.
+/// Runs the model body [`crate::generic::gpu_time_generic`]. The
+/// differential tests in `crate::generic` pin it bit for bit to the
+/// plain-`f64` reference `gpu_time_row` below, which exists only in test
+/// builds.
 pub fn gpu_time(spec: &GpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
-    crate::generic::gpu_time_generic::<f64>(spec, &crate::generic::GpuIn::of(f), code_quality)
+    crate::generic::gpu_time_generic(spec, &crate::generic::GpuIn::of(f), code_quality)
 }
 
 /// The exact subset of [`KernelFeatures`] the GPU model reads, flattened

@@ -18,11 +18,8 @@
 //! * [`model`] — [`model::Evaluator`], the "performance value"
 //!   oracle exploration queries (§5.1). [`model::Evaluator::time_features`]
 //!   is the one scoring path every search uses.
-//! * [`scalar`] / [`generic`] — each model written once over the
-//!   abstract [`scalar::Scalar`] domain, with two instantiations: `f64`
-//!   (what the public entry points run) and outward-rounding
-//!   [`scalar::Interval`] enclosures (powering sound region-level cost
-//!   bounds in `flextensor-analyze`).
+//! * [`generic`] — the three model bodies over `f64` inputs, which the
+//!   per-target entry points run.
 //! * [`batch`] — [`batch::FeatureBatch`], a plain row store scored by
 //!   [`model::Evaluator::time_features_batch`], kept for the repository
 //!   benchmark's off-path replay of the cost model.
@@ -57,10 +54,8 @@ pub mod generic;
 pub mod gpu;
 pub mod library;
 pub mod model;
-pub mod scalar;
 pub mod spec;
 
 pub use batch::FeatureBatch;
 pub use model::{Cost, Evaluator, GENERATED_CODE_QUALITY};
-pub use scalar::{Interval, IntervalError, Scalar, Trilean};
 pub use spec::{p100, titan_x, v100, vu9p, xeon_e5_2699_v4, CpuSpec, Device, FpgaSpec, GpuSpec};

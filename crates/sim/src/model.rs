@@ -86,44 +86,6 @@ impl Evaluator {
         }
     }
 
-    /// Times a *box* of kernels described by two corner feature rows,
-    /// returning a sound enclosure `(lo, hi)` of every concrete
-    /// [`Evaluator::time_features`] result reachable from member rows —
-    /// or `None` when no member is feasible on this device.
-    ///
-    /// The corners may be given in either componentwise order (each
-    /// field is enclosed by [`crate::scalar::Interval::spanning`]);
-    /// soundness over the whole box additionally requires that every
-    /// member's features lie componentwise between the corners, which is
-    /// what `LoweredTemplate::feature_bounds` guarantees for region
-    /// queries. Branch flags (and the FPGA `partition`/`pipeline` knobs)
-    /// must agree between the corners: a region query fixes them.
-    pub fn time_features_interval(
-        &self,
-        lo: &KernelFeatures,
-        hi: &KernelFeatures,
-    ) -> Option<(f64, f64)> {
-        use crate::generic::{cpu_time_generic, fpga_time_generic, gpu_time_generic};
-        use crate::generic::{CpuIn, FpgaIn, GpuIn};
-        match &self.device {
-            Device::Gpu(s) => gpu_time_generic(s, &GpuIn::enclosing(lo, hi), self.code_quality)
-                .map(|iv| (iv.lo(), iv.hi())),
-            Device::Cpu(s) => {
-                let iv = cpu_time_generic(s, &CpuIn::enclosing(lo, hi), self.code_quality);
-                Some((iv.lo(), iv.hi()))
-            }
-            Device::Fpga(s) => {
-                let (flo, fhi) = (lo.fpga.as_ref()?, hi.fpga.as_ref()?);
-                fpga_time_generic(
-                    s,
-                    &FpgaIn::enclosing(lo.flops, flo, hi.flops, fhi),
-                    self.code_quality,
-                )
-                .map(|iv| (iv.lo(), iv.hi()))
-            }
-        }
-    }
-
     /// Times every row of `batch`, writing one entry per row to `out`
     /// (cleared first; `None` marks infeasible rows). This is
     /// [`Evaluator::time_features`] mapped over the rows, so the results

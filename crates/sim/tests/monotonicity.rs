@@ -1,214 +1,17 @@
-//! Monotonicity and interval-soundness property tests of the generic
-//! scalar path (ROADMAP 1b payoff).
-//!
-//! Two families:
-//!
-//! * **directional monotonicity** — each device model, evaluated through
-//!   the generic `f64` instantiation, is non-decreasing in the feature
-//!   dimensions where that holds by construction (workload FLOPs and the
-//!   pure traffic terms: more work or more bytes never makes the modeled
-//!   kernel faster at a fixed schedule shape);
-//! * **interval containment** — evaluating the models over random input
-//!   boxes ([`Interval`] fields) encloses the concrete `f64` result of
-//!   every member row drawn from inside the box.
+//! Monotonicity property tests of the device model bodies: each model,
+//! evaluated through its `f64` body, is non-decreasing in the feature
+//! dimensions where that holds by construction (workload FLOPs and the
+//! pure traffic terms: more work or more bytes never makes the modeled
+//! kernel faster at a fixed schedule shape).
 
 use flextensor_sim::generic::{
     cpu_time_generic, fpga_time_generic, gpu_time_generic, CpuIn, FpgaIn, GpuIn,
 };
-use flextensor_sim::scalar::Interval;
 use flextensor_sim::spec::{v100, vu9p, xeon_e5_2699_v4};
 use proptest::prelude::*;
 
-/// Three samples from a range, sorted: a box `[lo, hi]` plus a member
-/// `mid` guaranteed to lie inside it.
-#[derive(Clone, Copy, Debug)]
-struct Tri {
-    lo: i64,
-    mid: i64,
-    hi: i64,
-}
-
-fn tri(lo: i64, hi: i64) -> impl Strategy<Value = Tri> {
-    (lo..=hi, lo..=hi, lo..=hi).prop_map(|(a, b, c)| {
-        let mut v = [a, b, c];
-        v.sort();
-        Tri {
-            lo: v[0],
-            mid: v[1],
-            hi: v[2],
-        }
-    })
-}
-
-impl Tri {
-    fn iv(&self) -> Interval {
-        Interval::spanning(self.lo as f64, self.hi as f64)
-    }
-    fn m(&self) -> f64 {
-        self.mid as f64
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// GPU: interval evaluation over a random input box contains the
-    /// concrete result of the box's member row.
-    #[test]
-    fn gpu_interval_contains_member(
-        flops in tri(0, 1 << 32),
-        grid in tri(1, 1 << 17),
-        tpb in tri(1, 2048),
-        tt in tri(1, 64),
-        vt in tri(1, 16),
-        ro in tri(1, 1024),
-        shared in tri(0, 200_000),
-        reg in tri(0, 4096),
-        input in tri(0, 1 << 30),
-        out_b in tri(0, 1 << 28),
-        dnb in tri(0, 1 << 24),
-        unroll in any::<bool>(),
-        contig in any::<bool>(),
-        cache in any::<bool>(),
-    ) {
-        let spec = v100();
-        let member = GpuIn::<f64> {
-            flops: flops.m(),
-            grid: grid.m(),
-            block_threads: tpb.m(),
-            thread_tile: tt.m(),
-            vthreads: vt.m(),
-            reduce_outer: ro.m(),
-            shared_bytes_per_block: shared.m(),
-            thread_reg_bytes: reg.m(),
-            input_bytes_total: input.m(),
-            output_bytes: out_b.m(),
-            data_node_bytes: dnb.m(),
-            unroll,
-            contiguous_inner: contig,
-            cache_shared: cache,
-        };
-        let boxed = GpuIn::<Interval> {
-            flops: flops.iv(),
-            grid: grid.iv(),
-            block_threads: tpb.iv(),
-            thread_tile: tt.iv(),
-            vthreads: vt.iv(),
-            reduce_outer: ro.iv(),
-            shared_bytes_per_block: shared.iv(),
-            thread_reg_bytes: reg.iv(),
-            input_bytes_total: input.iv(),
-            output_bytes: out_b.iv(),
-            data_node_bytes: dnb.iv(),
-            unroll,
-            contiguous_inner: contig,
-            cache_shared: cache,
-        };
-        if let Some(t) = gpu_time_generic(&spec, &member, 0.75) {
-            let iv = gpu_time_generic(&spec, &boxed, 0.75)
-                .expect("member feasible but box judged infeasible");
-            prop_assert!(iv.contains(t), "{t} outside {iv:?}");
-        }
-    }
-
-    /// CPU: interval evaluation over a random input box contains the
-    /// concrete result of the box's member row.
-    #[test]
-    fn cpu_interval_contains_member(
-        flops in tri(0, 1 << 32),
-        grid in tri(1, 1 << 17),
-        chunks in tri(1, 4096),
-        tt in tri(1, 64),
-        ro in tri(1, 1024),
-        vl in tri(1, 64),
-        shared in tri(0, 1 << 22),
-        l1 in tri(0, 1 << 20),
-        l2 in tri(0, 1 << 22),
-        input in tri(0, 1 << 30),
-        out_b in tri(0, 1 << 28),
-        dnb in tri(0, 1 << 24),
-        unroll in any::<bool>(),
-        contig in any::<bool>(),
-    ) {
-        let spec = xeon_e5_2699_v4();
-        let member = CpuIn::<f64> {
-            flops: flops.m(),
-            grid: grid.m(),
-            parallel_chunks: chunks.m(),
-            thread_tile: tt.m(),
-            reduce_outer: ro.m(),
-            vector_len: vl.m(),
-            shared_bytes_per_block: shared.m(),
-            l1_tile_bytes: l1.m(),
-            l2_tile_bytes: l2.m(),
-            input_bytes_total: input.m(),
-            output_bytes: out_b.m(),
-            data_node_bytes: dnb.m(),
-            unroll,
-            contiguous_inner: contig,
-        };
-        let boxed = CpuIn::<Interval> {
-            flops: flops.iv(),
-            grid: grid.iv(),
-            parallel_chunks: chunks.iv(),
-            thread_tile: tt.iv(),
-            reduce_outer: ro.iv(),
-            vector_len: vl.iv(),
-            shared_bytes_per_block: shared.iv(),
-            l1_tile_bytes: l1.iv(),
-            l2_tile_bytes: l2.iv(),
-            input_bytes_total: input.iv(),
-            output_bytes: out_b.iv(),
-            data_node_bytes: dnb.iv(),
-            unroll,
-            contiguous_inner: contig,
-        };
-        let t = cpu_time_generic(&spec, &member, 0.75);
-        let iv = cpu_time_generic(&spec, &boxed, 0.75);
-        prop_assert!(iv.contains(t), "{t} outside {iv:?}");
-    }
-
-    /// FPGA: interval evaluation over a random input box contains the
-    /// concrete result of the box's member row.
-    #[test]
-    fn fpga_interval_contains_member(
-        flops in tri(0, 1 << 32),
-        pe in tri(1, 2000),
-        rounds in tri(1, 4096),
-        buffer in tri(0, 1 << 24),
-        stream in tri(0, 1 << 24),
-        write in tri(0, 1 << 24),
-        partition_exp in 0u32..5,
-        pipeline in 1i64..=3,
-    ) {
-        let spec = vu9p();
-        let partition = 1i64 << partition_exp;
-        let member = FpgaIn::<f64> {
-            flops: flops.m(),
-            pe: pe.m(),
-            rounds: rounds.m(),
-            buffer_bytes: buffer.m(),
-            stream_bytes: stream.m(),
-            write_bytes: write.m(),
-            partition,
-            pipeline,
-        };
-        let boxed = FpgaIn::<Interval> {
-            flops: flops.iv(),
-            pe: pe.iv(),
-            rounds: rounds.iv(),
-            buffer_bytes: buffer.iv(),
-            stream_bytes: stream.iv(),
-            write_bytes: write.iv(),
-            partition,
-            pipeline,
-        };
-        if let Some(t) = fpga_time_generic(&spec, &member, 0.85) {
-            let iv = fpga_time_generic(&spec, &boxed, 0.85)
-                .expect("member feasible but box judged infeasible");
-            prop_assert!(iv.contains(t), "{t} outside {iv:?}");
-        }
-    }
 
     /// GPU: the model is non-decreasing in FLOPs and in each pure
     /// traffic dimension (input, output, materialized-producer bytes),
@@ -233,7 +36,7 @@ proptest! {
         dim in 0usize..4,
     ) {
         let spec = v100();
-        let base = GpuIn::<f64> {
+        let base = GpuIn {
             flops: flops as f64,
             grid: grid as f64,
             block_threads: tpb as f64,
@@ -286,7 +89,7 @@ proptest! {
         dim in 0usize..4,
     ) {
         let spec = xeon_e5_2699_v4();
-        let base = CpuIn::<f64> {
+        let base = CpuIn {
             flops: flops as f64,
             grid: grid as f64,
             parallel_chunks: chunks as f64,
@@ -331,7 +134,7 @@ proptest! {
         dim in 0usize..3,
     ) {
         let spec = vu9p();
-        let base = FpgaIn::<f64> {
+        let base = FpgaIn {
             flops: flops as f64,
             pe: pe as f64,
             rounds: rounds as f64,

@@ -195,14 +195,12 @@ pub enum TraceEvent {
         /// cumulative over the run.
         delta_full: usize,
     },
-    /// Counters of the end-of-search region certification sweep. Emitted
-    /// once per run, immediately before [`TraceEvent::RunSummary`], only
-    /// when `SearchOptions::region_gate` is enabled; traces from runs
-    /// without the sweep never contain it. Every field is deterministic
-    /// given the seed and search options, so these traces replay
-    /// byte-identically. Older records also carry `regions_analyzed` and
-    /// `region_pruned` from a since-removed live gate; the reader ignores
-    /// them.
+    /// Counters of a since-removed end-of-search region certification
+    /// sweep. No writer emits it any more; readers still accept it so
+    /// traces recorded with `SearchOptions::region_gate` before the sweep
+    /// was removed still parse and replay. Older records also carry
+    /// `regions_analyzed` and `region_pruned` from an earlier live gate;
+    /// the reader ignores them.
     RegionStats {
         /// Trial index of the last completed trial.
         trial: usize,

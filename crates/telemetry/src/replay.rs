@@ -111,7 +111,7 @@ pub struct Replay {
     /// present in traces recorded while delta evaluation was an opt-in).
     pub delta: Option<TraceEvent>,
     /// The recorded region certification-sweep statistics, if any (only
-    /// present in traces of runs with `SearchOptions::region_gate`).
+    /// present in traces recorded while the sweep existed).
     pub region: Option<TraceEvent>,
     /// The last recorded schedule-database statistics, if any (only
     /// present in traces emitted through the session server).
