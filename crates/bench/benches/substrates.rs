@@ -146,22 +146,30 @@ fn bench_search_trial(c: &mut Criterion) {
     use flextensor_explore::methods::{search, Method, SearchOptions};
     let g = ops::conv2d(ConvParams::same(1, 64, 128, 3), 14, 14);
     let ev = Evaluator::new(Device::Gpu(v100()));
-    c.bench_function("search/q_method_10_trials", |b| {
-        b.iter(|| {
-            search(
-                black_box(&g),
-                &ev,
-                Method::QMethod,
-                &SearchOptions {
-                    trials: 10,
-                    starts: 4,
-                    initial_samples: 8,
-                    ..SearchOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
+    // The Q-method's time is mostly Q-network training; the P-method's
+    // (every applicable direction of every start) is mostly proposal,
+    // history and pool bookkeeping.
+    for (name, method) in [
+        ("search/q_method_10_trials", Method::QMethod),
+        ("search/p_method_10_trials", Method::PMethod),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                search(
+                    black_box(&g),
+                    &ev,
+                    method,
+                    &SearchOptions {
+                        trials: 10,
+                        starts: 4,
+                        initial_samples: 8,
+                        ..SearchOptions::default()
+                    },
+                )
+                .unwrap()
+            })
+        });
+    }
 }
 
 fn config() -> Criterion {

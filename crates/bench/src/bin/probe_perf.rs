@@ -55,7 +55,7 @@ use std::time::Instant;
 
 use flextensor::serve::task_key;
 use flextensor_bench::harness::arg;
-use flextensor_explore::pool::EvalPool;
+use flextensor_explore::pool::{EvalPool, KeyBatch};
 use flextensor_explore::space::Space;
 use flextensor_ir::graph::Graph;
 use flextensor_ir::ops::{self, ConvParams};
@@ -175,7 +175,9 @@ fn measure_delta(
     while reps < 2 || total_secs < budget_s {
         let mut pool = EvalPool::new(graph, ev, workers, 1 << 20);
         let t0 = Instant::now();
-        let outcomes = pool.evaluate_batch_delta(cands, base_of, bases);
+        // The keys are timed too, as the plain path's encoding is.
+        let keys = keys_of(cands);
+        let outcomes = pool.evaluate_batch_delta(cands, &keys, base_of, bases);
         total_secs += t0.elapsed().as_secs_f64();
         total_cands += outcomes.len();
         let s = pool.stats();
@@ -184,6 +186,15 @@ fn measure_delta(
         reps += 1;
     }
     (total_cands as f64 / total_secs.max(1e-12), hits, full)
+}
+
+/// The keys of `cands`, in order, as a delta batch takes them.
+fn keys_of(cands: &[NodeConfig]) -> KeyBatch {
+    let mut keys = KeyBatch::default();
+    for c in cands {
+        keys.push_config(c);
+    }
+    keys
 }
 
 fn run_workload(
@@ -210,8 +221,12 @@ fn run_workload(
     // search drivers actually produce — and is cross-checked the same way.
     let (ncands, base_of, bases) = neighbor_batch(&space, seed ^ 0xde17a, 8);
     let plain_neighbor_out = EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch(&ncands);
-    let delta_out =
-        EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch_delta(&ncands, &base_of, &bases);
+    let delta_out = EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch_delta(
+        &ncands,
+        &keys_of(&ncands),
+        &base_of,
+        &bases,
+    );
     assert_eq!(
         delta_out, plain_neighbor_out,
         "delta path diverged on {name}"

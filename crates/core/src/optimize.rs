@@ -73,12 +73,6 @@ impl OptimizeOptions {
         self
     }
 
-    /// Sets the approximate entry bound of the evaluation memo cache.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> OptimizeOptions {
-        self.search.cache_capacity = capacity;
-        self
-    }
-
     /// Enables (or disables) the static analyzer pruning gate: candidates
     /// that `flextensor-analyze` proves infeasible for the target device
     /// are rejected before the cost model runs. The analyzer's soundness

@@ -15,12 +15,12 @@
 //! * [`methods`] — the search drivers: Q-method, P-method (all
 //!   directions), and a random-walk ablation, with exploration-time
 //!   accounting modeling the real system's per-measurement cost.
-//! * [`pool`] — the parallel, memoized evaluation layer: a persistent
-//!   worker pool fanning each trial's candidate batch out over
-//!   `eval_workers` threads, with a concurrent memo cache so repeat
-//!   visits cost zero modeled and zero real time. Results reduce in
-//!   fixed candidate order, so searches are deterministic in the worker
-//!   count.
+//! * [`pool`] — the parallel evaluation layer: a persistent worker pool
+//!   fanning each trial's candidate batch out over `eval_workers`
+//!   threads, resolving in-batch duplicates once, with an optional
+//!   concurrent memo cache for callers that revisit points (the search
+//!   needs none: its history is the memo). Results reduce in fixed
+//!   candidate order, so searches are deterministic in the worker count.
 //!
 //! Every driver can additionally stream structured telemetry — trial
 //! lifecycle, per-candidate evaluations, SA moves, Q-network training,

@@ -20,17 +20,21 @@
 //! Neighbors are proposed in key space: each selected start is encoded
 //! once ([`NodeConfig::encode`]), every direction's neighbor is derived
 //! from those words ([`Space::apply_words`]), and whether it is fresh is
-//! a probe of the history by words ([`History::contains_key`]). A
-//! `NodeConfig` is built only for the neighbors a method chooses: one
-//! per start for the Q-method and the random walk, every fresh one for
-//! the P-method.
+//! a probe of the history by words and their hash
+//! ([`History::contains_hashed`]). A `NodeConfig` is built only for the
+//! neighbors a method chooses: one per start for the Q-method and the
+//! random walk, every fresh one for the P-method. The chosen neighbors'
+//! words and hashes go into one [`KeyBatch`], which the pool and then the
+//! history use as they are: each candidate's key is built and hashed once.
 //!
 //! Candidate evaluation is *batched*: each trial first builds its full
 //! candidate list (all starts, all chosen directions), then hands it to an
-//! [`EvalPool`], which fans fresh points out over
-//! `eval_workers` threads and answers repeats from a memo cache. Results
-//! reduce in fixed candidate order, so the search is bit-for-bit
-//! deterministic in the worker count; only wall-clock time changes.
+//! [`EvalPool`], which fans fresh points out over `eval_workers` threads.
+//! The history is the memo: only points absent from it are proposed, so
+//! the pool keeps no memo of its own and resolves only duplicates within
+//! a batch. Results reduce in fixed candidate order, so the search is
+//! bit-for-bit deterministic in the worker count; only wall-clock time
+//! changes.
 
 use std::time::Instant;
 
@@ -41,7 +45,7 @@ use flextensor_telemetry::{config_key, Telemetry, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pool::{EvalOutcome, EvalPool, EvalStats};
+use crate::pool::{hash_key, EvalOutcome, EvalPool, EvalStats, KeyBatch};
 use crate::qlearn::{QAgent, SearchInFlight, Transition};
 use crate::sa::History;
 use crate::space::Space;
@@ -104,7 +108,11 @@ pub struct SearchOptions {
     /// calling thread, 0 = all available cores). Results are identical
     /// for every value; only wall-clock time changes.
     pub eval_workers: usize,
-    /// Approximate entry bound for the evaluation memo cache.
+    /// Has no effect. The search's history holds every point it
+    /// evaluated and the search never proposes one of those again, so its
+    /// evaluation pool keeps no memo. The field is kept only because the
+    /// frozen repository benchmark reads it (to size the memo of its own
+    /// pool), and goes with the next change to that benchmark.
     pub cache_capacity: usize,
     /// Statically prune candidates the analyzer proves infeasible
     /// (`flextensor-analyze`'s feature-level legality rules) before the
@@ -235,12 +243,13 @@ struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     /// Folds one batched evaluation outcome into `H` and the time
-    /// accounting, and logs the candidate. Only *fresh* outcomes (the
-    /// pool actually ran the evaluator) count as on-device measurements;
-    /// cache hits cost zero modeled time, and so do candidates the
-    /// analyzer gate pruned — no kernel was ever compiled or launched for
-    /// them. Returns the performance value `E` (0 for infeasible).
-    fn absorb(&mut self, trial: usize, cfg: &NodeConfig, outcome: EvalOutcome) -> f64 {
+    /// accounting, and logs the candidate, given by its key `i` in
+    /// `keys`. Only *fresh* outcomes (the pool actually ran the
+    /// evaluator) count as on-device measurements; in-batch duplicates
+    /// cost zero modeled time, and so do candidates the analyzer gate
+    /// pruned — no kernel was ever compiled or launched for them. Returns
+    /// the performance value `E` (0 for infeasible).
+    fn absorb(&mut self, trial: usize, keys: &KeyBatch, i: usize, outcome: EvalOutcome) -> f64 {
         let measured = outcome.fresh && !outcome.pruned;
         if measured {
             self.measurements += 1;
@@ -256,7 +265,7 @@ impl<'a> Driver<'a> {
             // `fresh` records, and pruned points cost nothing.
             self.opts.telemetry.emit(TraceEvent::CandidateEvaluated {
                 trial,
-                key: config_key(&cfg.encode()),
+                key: config_key(keys.key(i)),
                 seconds: outcome.cost.map(|c| c.seconds),
                 fresh: measured,
             });
@@ -265,7 +274,8 @@ impl<'a> Driver<'a> {
             Some(c) => 1.0 / c.seconds,
             None => 0.0,
         };
-        self.history.record(cfg, e);
+        self.history
+            .record_key(self.space.layout(), keys.key(i), keys.hash(i), e);
         e
     }
 
@@ -326,10 +336,12 @@ pub fn search(
 
     let mut d = Driver {
         graph,
+        // No memo (capacity 0): the history answers for every point
+        // already evaluated.
         pool: if opts.analyzer_gate {
-            EvalPool::new_gated(graph, evaluator, opts.eval_workers, opts.cache_capacity)
+            EvalPool::new_gated(graph, evaluator, opts.eval_workers, 0)
         } else {
-            EvalPool::new(graph, evaluator, opts.eval_workers, opts.cache_capacity)
+            EvalPool::new(graph, evaluator, opts.eval_workers, 0)
         },
         space,
         history: History::new(),
@@ -375,20 +387,28 @@ pub fn search(
     });
     let outcomes = d.pool.evaluate_batch(&seeds);
     d.pool.emit_stats(&tel, 0);
-    for (cfg, oc) in seeds.iter().zip(outcomes) {
-        d.absorb(0, cfg, oc);
+    // Each candidate's key, built once: the seeds' here, each trial's
+    // while proposing (one buffer, reused).
+    let mut keys = KeyBatch::default();
+    for cfg in &seeds {
+        keys.push_config(cfg);
+    }
+    for (i, oc) in outcomes.into_iter().enumerate() {
+        d.absorb(0, &keys, i, oc);
     }
 
     let mut trace = Vec::with_capacity(opts.trials + 1);
     trace.push(d.trace_point(0));
 
     // Buffers reused across starts and trials: the start's words, one
-    // neighbor's words, the fresh-neighbor mask, the random walk's fresh
-    // directions, one start's features, and the Q-method's features of
-    // every start of the trial (`dim` each, for its transitions).
+    // neighbor's words, the fresh-neighbor mask with each fresh
+    // neighbor's hash, the random walk's fresh directions with theirs,
+    // one start's features, and the Q-method's features of every start of
+    // the trial (`dim` each, for its transitions).
     let mut key = Vec::new();
     let mut words = Vec::new();
     let mut mask = Vec::new();
+    let mut hashes = Vec::new();
     let mut avail = Vec::new();
     let mut state = Vec::new();
     let mut feats = Vec::new();
@@ -419,75 +439,99 @@ pub fn search(
         // evaluation never touches it, so batching leaves the draw
         // sequence unchanged. Moves are made on the start's encoding: a
         // direction applies to a start when its move does and leads to a
-        // point unvisited as of the start of this trial, and only the
-        // chosen neighbors are built as configs.
+        // point unvisited as of the start of this trial. Each probed
+        // neighbor is hashed once; only the chosen ones are built as
+        // configs, and their words and hashes go into `keys`.
         let mut base_of: Vec<usize> = Vec::new();
         let mut actions: Vec<usize> = Vec::new();
         let mut cands: Vec<NodeConfig> = Vec::new();
+        keys.clear();
         feats.clear();
         for (si, p) in bases.iter().enumerate() {
             key.clear();
             p.encode_into(&mut key);
             let space = &d.space;
             let history = &d.history;
+            // The hash of `dir`'s neighbor when that move applies and
+            // leads to a point not in the history.
             let fresh = |dir, words: &mut Vec<i64>| {
-                space.apply_words(&key, dir, words) && !history.contains_key(words)
+                if !space.apply_words(&key, dir, words) {
+                    return None;
+                }
+                let hash = hash_key(words);
+                (!history.contains_hashed(hash, words)).then_some(hash)
             };
             let mut chosen = None;
             match method {
                 Method::PMethod => {
                     for (a, &dir) in space.directions().iter().enumerate() {
-                        if fresh(dir, &mut words) {
+                        if let Some(hash) = fresh(dir, &mut words) {
                             base_of.push(si);
                             actions.push(a);
+                            keys.push(&words, hash);
                             cands.push(NodeConfig::from_words(space.layout(), &words));
                         }
                     }
                 }
                 Method::RandomWalk => {
                     avail.clear();
-                    avail.extend(
-                        (0..space.directions().len())
-                            .filter(|&a| fresh(space.directions()[a], &mut words)),
-                    );
+                    for (a, &dir) in space.directions().iter().enumerate() {
+                        if let Some(hash) = fresh(dir, &mut words) {
+                            avail.push((a, hash));
+                        }
+                    }
                     if !avail.is_empty() {
                         chosen = Some(avail[rng.gen_range(0..avail.len())]);
                     }
                 }
                 Method::QMethod => {
                     mask.clear();
-                    mask.extend(space.directions().iter().map(|&dir| fresh(dir, &mut words)));
+                    hashes.clear();
+                    for &dir in space.directions() {
+                        let hash = fresh(dir, &mut words);
+                        mask.push(hash.is_some());
+                        hashes.push(hash.unwrap_or(0));
+                    }
                     space.features_into(p, &mut state);
                     feats.extend_from_slice(&state);
                     chosen = agent
                         .as_mut()
                         .expect("Q agent exists")
-                        .choose(&state, &mask, &mut rng);
+                        .choose(&state, &mask, &mut rng)
+                        .map(|a| (a, hashes[a]));
                 }
             }
-            if let Some(a) = chosen {
+            if let Some((a, hash)) = chosen {
                 // Re-derive the chosen neighbor's words (the last probe
                 // left another direction's in `words`).
                 space.apply_words(&key, space.directions()[a], &mut words);
                 base_of.push(si);
                 actions.push(a);
+                keys.push(&words, hash);
                 cands.push(NodeConfig::from_words(space.layout(), &words));
             }
         }
 
-        // Phase 2: evaluate the whole batch — memoized, fanned out over
-        // the pool's workers. Each candidate carries its starting point so
-        // the pool can patch features incrementally instead of recomputing
-        // them.
-        let outcomes = d.pool.evaluate_batch_delta(&cands, &base_of, &bases);
+        // Phase 2: evaluate the whole batch, fanned out over the pool's
+        // workers. Each candidate carries its key and its starting point,
+        // so the pool encodes nothing and can patch features
+        // incrementally instead of recomputing them.
+        let outcomes = d.pool.evaluate_batch_delta(&cands, &keys, &base_of, &bases);
         d.pool.emit_stats(&tel, trial);
 
         // Phase 3: reduce in fixed candidate order. Hitting the stop
-        // target discards the rest of the batch: those points are cached
-        // but never absorbed, so they cost no modeled measurement.
-        for (((&si, &a), n), oc) in base_of.iter().zip(&actions).zip(&cands).zip(outcomes) {
+        // target discards the rest of the batch: those points are
+        // evaluated but never absorbed, so they cost no modeled
+        // measurement.
+        for (i, (((&si, &a), n), oc)) in base_of
+            .iter()
+            .zip(&actions)
+            .zip(&cands)
+            .zip(outcomes)
+            .enumerate()
+        {
             let e_p = energies[si];
-            let e_n = d.absorb(trial, n, oc);
+            let e_n = d.absorb(trial, &keys, i, oc);
             tel.emit(TraceEvent::SaStep {
                 trial,
                 temperature: opts.gamma,

@@ -1,4 +1,5 @@
-//! Parallel, memoized candidate evaluation (§5.2's parallel back-end).
+//! Parallel candidate evaluation (§5.2's parallel back-end), memoized
+//! when the caller asks for it.
 //!
 //! The real FlexTensor amortizes its ≤ 1 s compile+measure overhead by
 //! evaluating a trial's candidate points concurrently. This module is the
@@ -12,6 +13,12 @@
 //!   results in the **fixed candidate order**, so every search driver
 //!   built on it is bit-for-bit deterministic in the worker count.
 //!
+//! A pool built with a cache capacity of 0 keeps no memo: it resolves
+//! only duplicates within one batch. The search builds its pool that way,
+//! because its history already holds every point it evaluated and it
+//! never submits one of those again. Callers that do resubmit
+//! points (the AutoTVM baseline, probes, tests) keep a memo.
+//!
 //! Workers evaluate through a shared split-phase
 //! [`LoweredTemplate`]: the config-independent half of
 //! lowering is computed once when the pool is built, and each candidate
@@ -20,11 +27,11 @@
 //! behind [`EvalPool::new_reference`] for differential tests and the
 //! `probe_perf` baseline. Each candidate is scored with
 //! [`Evaluator::time_features`] right where its features are derived.
-//! Memo keys are hashed once per candidate, and neighbor batches derive
-//! each candidate's key from its base's key by patching only the changed
-//! words ([`NodeConfig::encode_delta_into`]). Neighbor batches also lower
-//! each base with two or more fresh neighbors once and patch only the
-//! features a neighbor's move can affect ([`EvalPool::evaluate_batch_delta`]).
+//! Each candidate's key is built and hashed once: by the pool for plain
+//! batches, and by the caller for neighbor batches, which arrive with
+//! their keys ([`KeyBatch`]). Neighbor batches also lower each base with
+//! two or more fresh neighbors once and patch only the features a
+//! neighbor's move can affect ([`EvalPool::evaluate_batch_delta`]).
 //!
 //! Determinism argument: the evaluator is a pure function of
 //! `(graph, config)`, candidate batches are constructed before any
@@ -52,7 +59,8 @@ use flextensor_schedule::template::LoweredTemplate;
 use flextensor_sim::model::{Cost, Evaluator};
 use flextensor_telemetry::{Telemetry, TraceEvent};
 
-use crate::table::{hash_key, KeyTable};
+pub use crate::table::hash_key;
+use crate::table::KeyTable;
 
 /// Number of independent shards in a [`MemoCache`]; bounds coordinator /
 /// worker contention when the cache is shared across threads.
@@ -136,7 +144,9 @@ type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 /// Bounding: each shard holds at most `capacity / CACHE_SHARDS` entries
 /// and is *flushed* (generationally cleared) when an insert would
 /// overflow it — simple, allocation-friendly, and deterministic as long
-/// as inserts happen in a deterministic order.
+/// as inserts happen in a deterministic order. A capacity of 0 makes a
+/// memo that holds nothing: it has no shards, every lookup misses and
+/// every insert is dropped.
 #[derive(Debug)]
 pub struct MemoCache {
     shards: Vec<Mutex<KeyTable<Option<Cost>>>>,
@@ -146,10 +156,12 @@ pub struct MemoCache {
 }
 
 impl MemoCache {
-    /// A cache holding at most (approximately) `capacity` entries.
+    /// A cache holding at most (approximately) `capacity` entries; none
+    /// at all when `capacity` is 0.
     pub fn new(capacity: usize) -> MemoCache {
+        let shards = if capacity == 0 { 0 } else { CACHE_SHARDS };
         MemoCache {
-            shards: (0..CACHE_SHARDS)
+            shards: (0..shards)
                 .map(|_| Mutex::new(KeyTable::default()))
                 .collect(),
             per_shard_capacity: (capacity / CACHE_SHARDS).max(1),
@@ -158,33 +170,30 @@ impl MemoCache {
         }
     }
 
-    /// FNV-1a over the key words; stable across platforms. The low bits
-    /// select the shard, bits 7+ seat the key in the shard's probe table.
-    /// Public so a caller holding many keys (the evaluation pool) can hash
-    /// each one once and reuse it across [`MemoCache::peek_hashed`],
-    /// in-batch duplicate detection, and [`MemoCache::insert_hashed`].
-    pub fn hash(key: &[i64]) -> u64 {
-        hash_key(key)
+    /// Whether this memo holds entries at all (capacity above 0).
+    fn stores(&self) -> bool {
+        !self.shards.is_empty()
     }
 
-    /// Locks the shard for `hash`. Poisoning is recovered: every shard
-    /// update is a plain table write with no caller code inside the lock,
-    /// so a shard is consistent whenever its lock is released.
-    fn shard(&self, hash: u64) -> MutexGuard<'_, KeyTable<Option<Cost>>> {
-        self.shards[(hash % CACHE_SHARDS as u64) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Locks the shard for `hash` ([`hash_key`]; its low bits pick the
+    /// shard), or `None` for a memo that holds nothing. Poisoning is
+    /// recovered: every shard update is a plain table write with no caller
+    /// code inside the lock, so a shard is consistent whenever its lock is
+    /// released.
+    fn shard(&self, hash: u64) -> Option<MutexGuard<'_, KeyTable<Option<Cost>>>> {
+        let shard = self.shards.get((hash % CACHE_SHARDS as u64) as usize)?;
+        Some(shard.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Looks a key up **without** touching the hit/miss counters (the
     /// counters record lookups-with-intent, see [`MemoCache::count_hits`]).
     pub fn peek(&self, key: &[i64]) -> Option<Option<Cost>> {
-        self.peek_hashed(MemoCache::hash(key), key)
+        self.peek_hashed(hash_key(key), key)
     }
 
-    /// [`MemoCache::peek`] with a precomputed [`MemoCache::hash`] of `key`.
+    /// [`MemoCache::peek`] with a precomputed [`hash_key`] of `key`.
     pub fn peek_hashed(&self, hash: u64, key: &[i64]) -> Option<Option<Cost>> {
-        let shard = self.shard(hash);
+        let shard = self.shard(hash)?;
         shard.get(hash, key).map(|id| *shard.value(id))
     }
 
@@ -192,13 +201,14 @@ impl MemoCache {
     /// it is at capacity. The key is copied into the shard's arena; no
     /// per-entry allocation happens on a warm shard.
     pub fn insert(&self, key: &[i64], value: Option<Cost>) {
-        self.insert_hashed(MemoCache::hash(key), key, value)
+        self.insert_hashed(hash_key(key), key, value)
     }
 
-    /// [`MemoCache::insert`] with a precomputed [`MemoCache::hash`] of
-    /// `key`.
+    /// [`MemoCache::insert`] with a precomputed [`hash_key`] of `key`.
     pub fn insert_hashed(&self, hash: u64, key: &[i64], value: Option<Cost>) {
-        let mut shard = self.shard(hash);
+        let Some(mut shard) = self.shard(hash) else {
+            return;
+        };
         let full = shard.len() >= self.per_shard_capacity
             || shard.arena_len() + key.len() > u32::MAX as usize;
         if full && shard.get(hash, key).is_none() {
@@ -208,7 +218,8 @@ impl MemoCache {
         shard.insert(hash, key, value);
     }
 
-    /// Records `n` lookups answered from the cache.
+    /// Records `n` lookups answered without an evaluation: from the memo,
+    /// or from an earlier duplicate in the same batch.
     pub fn count_hits(&self, n: usize) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
@@ -231,7 +242,7 @@ impl MemoCache {
         self.len() == 0
     }
 
-    /// Lookups answered from the cache so far.
+    /// Lookups answered without an evaluation so far.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
@@ -250,7 +261,8 @@ pub struct EvalStats {
     /// candidates the analyzer gate rejected statically; those are also
     /// counted in `pruned`.
     pub evaluated: usize,
-    /// Lookups answered from the memo cache.
+    /// Lookups answered without a fresh evaluation: memo hits and
+    /// in-batch duplicates (only the latter for a pool without a memo).
     pub cache_hits: usize,
     /// Lookups that required a fresh evaluation.
     pub cache_misses: usize,
@@ -318,6 +330,67 @@ pub struct EvalOutcome {
     /// cost model ran (implies `cost == None`; such candidates cost no
     /// modeled measurement time).
     pub pruned: bool,
+}
+
+/// The keys of a candidate batch: each candidate's [`NodeConfig::encode`]
+/// words, back to back in one buffer, with its [`hash_key`].
+///
+/// A caller that already holds its candidates' words (the search derives
+/// them in key space) fills one while proposing and hands it to
+/// [`EvalPool::evaluate_batch_delta`], and the same keys and hashes on to
+/// its history, so each candidate's key is built and hashed once.
+#[derive(Debug, Clone, Default)]
+pub struct KeyBatch {
+    words: Vec<i64>,
+    ends: Vec<usize>,
+    hashes: Vec<u64>,
+}
+
+impl KeyBatch {
+    /// Drops every key but keeps the buffers.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.ends.clear();
+        self.hashes.clear();
+    }
+
+    /// Appends a key with its precomputed hash, which must be
+    /// [`hash_key`]`(key)`.
+    pub fn push(&mut self, key: &[i64], hash: u64) {
+        debug_assert_eq!(hash, hash_key(key));
+        self.words.extend_from_slice(key);
+        self.ends.push(self.words.len());
+        self.hashes.push(hash);
+    }
+
+    /// Appends `cfg`'s key, encoded and hashed here.
+    pub fn push_config(&mut self, cfg: &NodeConfig) {
+        let start = self.words.len();
+        cfg.encode_into(&mut self.words);
+        self.ends.push(self.words.len());
+        self.hashes.push(hash_key(&self.words[start..]));
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the batch holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Key `i`'s words.
+    pub fn key(&self, i: usize) -> &[i64] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.words[start..self.ends[i]]
+    }
+
+    /// Key `i`'s [`hash_key`].
+    pub fn hash(&self, i: usize) -> u64 {
+        self.hashes[i]
+    }
 }
 
 /// What workers need to evaluate a point; shared immutably.
@@ -427,7 +500,8 @@ struct BatchJob {
 /// payload of a panic it caught there, if any.
 type WorkerDone = Option<Box<dyn Any + Send>>;
 
-/// A persistent pool of evaluation workers with a memo cache in front.
+/// A persistent pool of evaluation workers, with a memo cache in front
+/// unless it was built with a cache capacity of 0.
 ///
 /// Created once per search; workers live until the pool is dropped, so
 /// per-batch dispatch costs one channel send per worker rather than a
@@ -455,15 +529,7 @@ pub struct EvalPool {
     /// template-path pools, 1 for reference pools; tests force 0 to
     /// exercise the fan-out path on small batches).
     inline_batch: usize,
-    /// Batch scratch, reused so a steady-state batch allocates only its
-    /// result vector: the flat key buffer (all candidate encodings back to
-    /// back), the end offset of each key in it, the per-key hash (computed
-    /// once, reused by peek / duplicate check / insert), the flat buffer
-    /// of base keys for delta batches, and the serial-path delta scratch.
-    key_buf: Vec<i64>,
-    key_ends: Vec<usize>,
-    key_hashes: Vec<u64>,
-    base_key_buf: Vec<i64>,
+    /// The serial-path delta scratch, reused across batches.
     inline_scratch: DeltaScratch,
 }
 
@@ -490,7 +556,9 @@ pub fn resolve_workers(requested: usize) -> usize {
 impl EvalPool {
     /// A pool of `workers` threads (0 = all cores; 1 = evaluate on the
     /// calling thread, no threads spawned) with a fresh memo cache of
-    /// `cache_capacity` entries.
+    /// `cache_capacity` entries. A capacity of 0 means no memo: the pool
+    /// then resolves only duplicates within a batch, and evaluates a point
+    /// afresh each time a later batch submits it again.
     pub fn new(
         graph: &Graph,
         evaluator: &Evaluator,
@@ -604,10 +672,6 @@ impl EvalPool {
             delta_full: 0,
             wall_clock: Duration::ZERO,
             inline_batch: if use_template { INLINE_BATCH } else { 1 },
-            key_buf: Vec::new(),
-            key_ends: Vec::new(),
-            key_hashes: Vec::new(),
-            base_key_buf: Vec::new(),
             inline_scratch: DeltaScratch::new(),
         }
     }
@@ -630,7 +694,8 @@ impl EvalPool {
         self.ctx.analyzer_gate
     }
 
-    /// The memo cache in front of the evaluator.
+    /// The memo cache in front of the evaluator; for a pool built with a
+    /// cache capacity of 0 it holds nothing and stays empty.
     pub fn cache(&self) -> &MemoCache {
         &self.cache
     }
@@ -641,12 +706,21 @@ impl EvalPool {
     /// reduction order is the candidate order, independent of the worker
     /// count and of thread scheduling.
     pub fn evaluate_batch(&mut self, configs: &[NodeConfig]) -> Vec<EvalOutcome> {
-        self.batch_inner(configs, None)
+        // Encode and hash every candidate once, into one flat buffer; the
+        // cache peek, the in-batch duplicate check and the insert reuse
+        // the key and its hash.
+        let mut keys = KeyBatch::default();
+        for c in configs {
+            keys.push_config(c);
+        }
+        self.batch_inner(configs, &keys, None)
     }
 
     /// Evaluates a batch of *neighbor* candidates, each derived from one
     /// of `bases` by a single schedule move: `base_of[i]` names the base
-    /// (an index into `bases`) candidate `configs[i]` was derived from.
+    /// (an index into `bases`) candidate `configs[i]` was derived from,
+    /// and `keys` holds each candidate's key in candidate order, so the
+    /// pool encodes and hashes nothing.
     ///
     /// A base with at least two fresh (uncached, not in-batch duplicate)
     /// neighbors is lowered once on the coordinator, and each of those
@@ -662,14 +736,21 @@ impl EvalPool {
     ///
     /// # Panics
     ///
-    /// Panics when `base_of` is not aligned with `configs` or names a base
-    /// out of range.
+    /// Panics when `keys` or `base_of` is not aligned with `configs`, or
+    /// `base_of` names a base out of range. Debug builds also check that
+    /// every key is its config's encoding.
     pub fn evaluate_batch_delta(
         &mut self,
         configs: &[NodeConfig],
+        keys: &KeyBatch,
         base_of: &[usize],
         bases: &[NodeConfig],
     ) -> Vec<EvalOutcome> {
+        assert_eq!(
+            keys.len(),
+            configs.len(),
+            "keys must be index-aligned with configs"
+        );
         assert_eq!(
             base_of.len(),
             configs.len(),
@@ -679,63 +760,25 @@ impl EvalPool {
             base_of.iter().all(|&b| b < bases.len()),
             "base_of entry out of range"
         );
-        self.batch_inner(configs, Some((base_of, bases)))
+        debug_assert!(
+            configs
+                .iter()
+                .enumerate()
+                .all(|(i, c)| keys.key(i) == c.encode()),
+            "a key is not its config's encoding"
+        );
+        self.batch_inner(configs, keys, Some((base_of, bases)))
     }
 
     fn batch_inner(
         &mut self,
         configs: &[NodeConfig],
+        keys: &KeyBatch,
         delta: Option<(&[usize], &[NodeConfig])>,
     ) -> Vec<EvalOutcome> {
         let t0 = Instant::now();
         let n = configs.len();
-        // Encode every candidate into the pool's flat key buffer; for the
-        // rest of the batch a key is a slice of it (no per-key vector).
-        // Neighbor batches derive each candidate's key from its base's
-        // already-encoded key by patching only the changed words
-        // ([`NodeConfig::encode_delta_into`]) instead of re-encoding the
-        // full config; the derived words are exactly the full encoding, so
-        // cache identity is untouched.
-        let mut key_buf = std::mem::take(&mut self.key_buf);
-        let mut key_ends = std::mem::take(&mut self.key_ends);
-        let mut key_hashes = std::mem::take(&mut self.key_hashes);
-        key_buf.clear();
-        key_ends.clear();
-        key_hashes.clear();
-        if let Some((base_of, bases)) = delta {
-            let mut base_key_buf = std::mem::take(&mut self.base_key_buf);
-            base_key_buf.clear();
-            // Span of each base's key in `base_key_buf`, encoded lazily so
-            // unused bases cost nothing.
-            let mut spans: Vec<Option<(usize, usize)>> = vec![None; bases.len()];
-            for (i, c) in configs.iter().enumerate() {
-                let bi = base_of[i];
-                let (s, e) = *spans[bi].get_or_insert_with(|| {
-                    let s = base_key_buf.len();
-                    bases[bi].encode_into(&mut base_key_buf);
-                    (s, base_key_buf.len())
-                });
-                if !c.encode_delta_into(&bases[bi], &base_key_buf[s..e], &mut key_buf) {
-                    c.encode_into(&mut key_buf);
-                }
-                key_ends.push(key_buf.len());
-            }
-            self.base_key_buf = base_key_buf;
-        } else {
-            for c in configs {
-                c.encode_into(&mut key_buf);
-                key_ends.push(key_buf.len());
-            }
-        }
-        let key = |i: usize| -> &[i64] {
-            let start = if i == 0 { 0 } else { key_ends[i - 1] };
-            &key_buf[start..key_ends[i]]
-        };
-        // Hash each key exactly once; the cache peek, the in-batch
-        // duplicate check, and the final insert all reuse it.
-        for i in 0..n {
-            key_hashes.push(MemoCache::hash(key(i)));
-        }
+        let (key, hash) = (|i| keys.key(i), |i| keys.hash(i));
         let mut out: Vec<Option<EvalOutcome>> = vec![None; n];
 
         // Resolve cache hits and in-batch duplicates on the coordinator.
@@ -748,7 +791,7 @@ impl EvalPool {
         let mut work: Vec<usize> = Vec::new();
         let mut hits = 0usize;
         for (i, slot) in out.iter_mut().enumerate() {
-            if let Some(cost) = self.cache.peek_hashed(key_hashes[i], key(i)) {
+            if let Some(cost) = self.cache.peek_hashed(hash(i), key(i)) {
                 *slot = Some(EvalOutcome {
                     cost,
                     fresh: false,
@@ -756,7 +799,7 @@ impl EvalPool {
                 });
                 hits += 1;
             } else {
-                match first_of_hash.entry(key_hashes[i]) {
+                match first_of_hash.entry(hash(i)) {
                     MapEntry::Vacant(e) => {
                         e.insert(i);
                         work.push(i);
@@ -847,7 +890,7 @@ impl EvalPool {
             if out[i].is_none() {
                 // Unresolved ⇒ its key matched an earlier candidate's (the
                 // hash entry's key was compared at detection time).
-                let j = first_of_hash[&key_hashes[i]];
+                let j = first_of_hash[&hash(i)];
                 let cost = out[j].expect("first occurrence resolved").cost;
                 out[i] = Some(EvalOutcome {
                     cost,
@@ -859,15 +902,12 @@ impl EvalPool {
         }
         // All cache writes happen here, on the coordinator, in candidate
         // order, so cache content is deterministic. Keys are copied from
-        // the flat buffer into the cache's arena (no allocation on a warm
+        // the key batch into the cache's arena (no allocation on a warm
         // shard). Gate rejections memoize as `None` — sound, since they
         // would have evaluated to `None`.
         for (&(cost, _, _), &i) in fresh.iter().zip(&work) {
-            self.cache.insert_hashed(key_hashes[i], key(i), cost);
+            self.cache.insert_hashed(hash(i), key(i), cost);
         }
-        self.key_buf = key_buf;
-        self.key_ends = key_ends;
-        self.key_hashes = key_hashes;
         self.cache.count_hits(hits);
         self.cache.count_misses(work.len());
         self.evaluated += work.len();
@@ -922,7 +962,15 @@ impl EvalPool {
             evaluated: s.evaluated,
             cache_hits: s.cache_hits,
             cache_misses: s.cache_misses,
-            cache_entries: self.cache.len(),
+            // A pool without a memo reports the points it evaluated, which
+            // are the distinct points whenever its caller never resubmits
+            // one (the search's contract); a memo's size is the
+            // same count until the memo first flushes.
+            cache_entries: if self.cache.stores() {
+                self.cache.len()
+            } else {
+                s.evaluated
+            },
             workers: s.workers,
             wall_s: s.wall_clock_s,
         });
@@ -1114,6 +1162,15 @@ mod tests {
         );
     }
 
+    /// The keys of `configs`, in order.
+    fn keys_of(configs: &[NodeConfig]) -> KeyBatch {
+        let mut keys = KeyBatch::default();
+        for c in configs {
+            keys.push_config(c);
+        }
+        keys
+    }
+
     /// Builds the neighbor-batch shape the search drivers produce: a few
     /// base points, each expanded along every applicable direction.
     fn neighbor_batch(
@@ -1146,7 +1203,7 @@ mod tests {
         let mut counter_runs = Vec::new();
         for workers in [1, 4] {
             let mut pool = EvalPool::new(&g, &ev, workers, 1 << 16);
-            let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+            let outcomes = pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases);
             assert_eq!(outcomes, plain, "delta batches must be bit-identical");
             let s = pool.stats();
             assert_eq!(s.delta_hits + s.delta_full, s.evaluated);
@@ -1179,8 +1236,8 @@ mod tests {
         let mut inline_pool = make(INLINE_BATCH);
         let mut fanned_pool = make(0);
         assert_eq!(
-            inline_pool.evaluate_batch_delta(&cands, &base_of, &bases),
-            fanned_pool.evaluate_batch_delta(&cands, &base_of, &bases),
+            inline_pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases),
+            fanned_pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases),
         );
         let (i, f) = (inline_pool.stats(), fanned_pool.stats());
         assert_eq!((i.delta_hits, i.delta_full), (f.delta_hits, f.delta_full));
@@ -1198,15 +1255,19 @@ mod tests {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 12, 4);
-        let want =
-            EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch_delta(&cands, &base_of, &bases);
+        let want = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch_delta(
+            &cands,
+            &keys_of(&cands),
+            &base_of,
+            &bases,
+        );
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let mut pool = EvalPool::new(&g, &ev, 2, 1 << 16);
             pool.inline_batch = 0;
             pool.ctx.panic_next.store(true, Ordering::Relaxed);
             let first = panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.evaluate_batch_delta(&cands, &base_of, &bases)
+                pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases)
             }));
             let message = first.err().map(|p| match p.downcast::<String>() {
                 Ok(s) => *s,
@@ -1214,7 +1275,7 @@ mod tests {
                     .downcast_ref::<&str>()
                     .map_or_else(String::new, |s| s.to_string()),
             });
-            let again = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+            let again = pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases);
             let _ = tx.send((message, again));
         });
         let (message, again) = rx
@@ -1226,27 +1287,93 @@ mod tests {
         assert_eq!(again, want);
     }
 
-    /// Keys derived from a base key (`encode_delta_into`) must be the
-    /// exact canonical encoding: after a delta batch warms the cache, a
-    /// *plain* batch over the same configs (keys encoded from scratch)
-    /// must be answered entirely from the cache, and vice versa.
+    /// Keys a caller derives in key space (a start's words moved by
+    /// [`Space::apply_words`](crate::space::Space::apply_words), as the
+    /// search does) must be the exact canonical encoding: after a
+    /// delta batch with those keys warms the cache, a *plain* batch over
+    /// the same configs (keys encoded by the pool) must be answered
+    /// entirely from the cache.
     #[test]
-    fn delta_derived_keys_share_cache_identity_with_plain_keys() {
+    fn caller_keys_share_cache_identity_with_plain_keys() {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
-        let (cands, base_of, bases) = neighbor_batch(&space, 10, 4);
+        let mut rng = StdRng::seed_from_u64(10);
+        let bases: Vec<_> = (0..4).map(|_| space.random_point(&mut rng)).collect();
+        let (mut cands, mut base_of, mut keys) = (Vec::new(), Vec::new(), KeyBatch::default());
+        let mut words = Vec::new();
+        for (bi, base) in bases.iter().enumerate() {
+            let key = base.encode();
+            for &dir in space.directions() {
+                if space.apply_words(&key, dir, &mut words) {
+                    keys.push(&words, hash_key(&words));
+                    cands.push(NodeConfig::from_words(space.layout(), &words));
+                    base_of.push(bi);
+                }
+            }
+        }
         let mut pool = EvalPool::new(&g, &ev, 1, 1 << 16);
-        let via_delta = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+        let via_delta = pool.evaluate_batch_delta(&cands, &keys, &base_of, &bases);
         let evaluated = pool.stats().evaluated;
         let via_plain = pool.evaluate_batch(&cands);
         assert_eq!(
             pool.stats().evaluated,
             evaluated,
-            "plain re-encoding must hit every delta-derived cache entry"
+            "plain encoding must hit every entry the caller's keys made"
         );
         for (d, p) in via_delta.iter().zip(&via_plain) {
             assert_eq!(d.cost, p.cost);
             assert!(!p.fresh);
+        }
+    }
+
+    /// A capacity of 0 builds a pool without a memo: it resolves
+    /// duplicates within a batch exactly as a memoizing pool does, keeps
+    /// nothing across batches, and reports the points it evaluated as its
+    /// `cache_entries`.
+    #[test]
+    fn a_pool_without_a_memo_resolves_only_in_batch_duplicates() {
+        use flextensor_telemetry::MemorySink;
+
+        let (g, ev) = setup();
+        let space = crate::space::Space::new(&g, ev.target());
+        let (cands, base_of, bases) = neighbor_batch(&space, 11, 3);
+        let distinct = cands
+            .iter()
+            .map(NodeConfig::encode)
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        let mut twice = cands.clone();
+        twice.extend(cands.iter().cloned());
+        let mut memo = EvalPool::new(&g, &ev, 2, 1 << 16);
+        let mut bare = EvalPool::new(&g, &ev, 2, 0);
+        assert_eq!(memo.evaluate_batch(&twice), bare.evaluate_batch(&twice));
+        let no_wall = |s: EvalStats| EvalStats {
+            wall_clock_s: 0.0,
+            ..s
+        };
+        assert_eq!(no_wall(memo.stats()), no_wall(bare.stats()));
+        assert_eq!(bare.stats().evaluated, distinct);
+        assert!(bare.cache().is_empty());
+
+        // A later batch: the memo answers it, the bare pool evaluates afresh.
+        let again = bare.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases);
+        assert_eq!(again.iter().filter(|o| o.fresh).count(), distinct);
+        assert!(memo.evaluate_batch(&cands).iter().all(|o| !o.fresh));
+        let s = bare.stats();
+        assert_eq!(s.evaluated, 2 * distinct);
+        assert_eq!(s.cache_hits, twice.len() + cands.len() - 2 * distinct);
+        assert_eq!(s.cache_misses, s.evaluated);
+        assert!(bare.cache().is_empty());
+
+        let sink = Arc::new(MemorySink::new());
+        bare.emit_stats(&Telemetry::new(sink.clone()), 1);
+        match sink.events().as_slice() {
+            [TraceEvent::PoolStats {
+                evaluated,
+                cache_entries,
+                ..
+            }] => assert_eq!(cache_entries, evaluated),
+            other => panic!("expected one pool_stats record, got {other:?}"),
         }
     }
 
@@ -1259,14 +1386,11 @@ mod tests {
             seconds: 1.5,
             flops: 10,
         });
-        cache.insert_hashed(MemoCache::hash(&key_a), &key_a, cost);
+        cache.insert_hashed(hash_key(&key_a), &key_a, cost);
         cache.insert(&key_b, None);
         assert_eq!(cache.peek(&key_a), Some(cost));
-        assert_eq!(
-            cache.peek_hashed(MemoCache::hash(&key_b), &key_b),
-            Some(None)
-        );
-        assert_eq!(cache.peek_hashed(MemoCache::hash(&[9i64]), &[9i64]), None);
+        assert_eq!(cache.peek_hashed(hash_key(&key_b), &key_b), Some(None));
+        assert_eq!(cache.peek_hashed(hash_key(&[9i64]), &[9i64]), None);
     }
 
     #[test]
@@ -1278,7 +1402,7 @@ mod tests {
             flops: 4,
         });
         cache.insert(&key, cost);
-        let shard_of = |k: &[i64]| (MemoCache::hash(k) % CACHE_SHARDS as u64) as usize;
+        let shard_of = |k: &[i64]| (hash_key(k) % CACHE_SHARDS as u64) as usize;
         let shard = &cache.shards[shard_of(&key)];
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
@@ -1352,7 +1476,8 @@ mod tests {
         for workers in [1, 2, 4] {
             let mut pool = warmed(workers);
             let warm = pool.stats();
-            let outcomes = pool.evaluate_batch_delta(&configs, &base_of, &bases);
+            let outcomes =
+                pool.evaluate_batch_delta(&configs, &keys_of(&configs), &base_of, &bases);
             assert_eq!(outcomes, expected, "workers {workers}");
             let s = pool.stats();
             assert_eq!(s.evaluated - warm.evaluated, 1 + several.len());
@@ -1372,7 +1497,7 @@ mod tests {
         let expected = gated.evaluate_batch(&cands);
         for workers in [1, 4] {
             let mut pool = EvalPool::new_gated(&g, &ev, workers, 1 << 16);
-            let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+            let outcomes = pool.evaluate_batch_delta(&cands, &keys_of(&cands), &base_of, &bases);
             assert_eq!(outcomes, expected);
             assert_eq!(pool.stats().pruned, gated.stats().pruned);
         }

@@ -142,32 +142,59 @@ impl History {
     /// already been evaluated: [`History::contains`] for a caller that
     /// holds the words, with no encoding and no config.
     pub fn contains_key(&self, key: &[i64]) -> bool {
-        self.points.get(hash_key(key), key).is_some()
+        self.contains_hashed(hash_key(key), key)
+    }
+
+    /// [`History::contains_key`] with the key's precomputed [`hash_key`],
+    /// for a caller that hands the same hash on to the evaluation pool and
+    /// to [`History::record_key`].
+    pub fn contains_hashed(&self, hash: u64, key: &[i64]) -> bool {
+        self.points.get(hash, key).is_some()
     }
 
     /// Records a point with its performance value `E` (0 = infeasible).
     ///
     /// Takes the config by value or by reference: the history keeps only
-    /// its encoding, and clones a borrowed config only when it becomes
+    /// its encoding, and rebuilds a config from it only when it becomes
     /// the best point.
     pub fn record(&mut self, cfg: impl Borrow<NodeConfig>, e: f64) {
         let cfg = cfg.borrow();
-        let layout = self.layout_id(cfg);
-        self.key.clear();
-        cfg.encode_into(&mut self.key);
-        let (id, old) = self
-            .points
-            .insert(hash_key(&self.key), &self.key, Point { e, layout });
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        cfg.encode_into(&mut key);
+        self.record_key(&ConfigLayout::of(cfg), &key, hash_key(&key), e);
+        self.key = key;
+    }
+
+    /// [`History::record`] for a caller that holds the point's
+    /// [`NodeConfig::encode`] words, their [`hash_key`] and the
+    /// [`ConfigLayout`] they encode: no config is encoded and no key is
+    /// hashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key` does not have `layout`'s length and the point
+    /// becomes the best one.
+    pub fn record_key(&mut self, layout: &ConfigLayout, key: &[i64], hash: u64, e: f64) {
+        let layout = match self.layouts.iter().position(|l| l == layout) {
+            Some(id) => id as u32,
+            None => {
+                self.layouts.push(layout.clone());
+                (self.layouts.len() - 1) as u32
+            }
+        };
+        let (id, old) = self.points.insert(hash, key, Point { e, layout });
         match old {
             None => self.pending.push(Ranked {
-                prefix: sort_prefix(&self.key),
+                prefix: sort_prefix(key),
                 id: u32::try_from(id).expect("history outgrew u32 ids"),
             }),
             Some(old) if old.e.to_bits() != e.to_bits() => self.weights_for = None,
             Some(_) => {}
         }
         if self.best.as_ref().is_none_or(|(_, b)| e > *b) && e > 0.0 {
-            self.best = Some((cfg.clone(), e));
+            let cfg = NodeConfig::from_words(&self.layouts[layout as usize], key);
+            self.best = Some((cfg, e));
         }
     }
 
@@ -256,18 +283,6 @@ impl History {
             cfg.encode_into(&mut key);
             self.points.get(hash_key(&key), &key)
         })
-    }
-
-    /// Index of `cfg`'s layout in `layouts`, adding it if new.
-    fn layout_id(&mut self, cfg: &NodeConfig) -> u32 {
-        let id = match self.layouts.iter().position(|l| l.matches(cfg)) {
-            Some(id) => id,
-            None => {
-                self.layouts.push(ConfigLayout::of(cfg));
-                self.layouts.len() - 1
-            }
-        };
-        id as u32
     }
 
     /// Brings `order` and `weights` up to date for `(e_star, gamma)` and
@@ -393,6 +408,31 @@ mod tests {
         h.record(c.clone(), 5.0);
         assert!(h.contains(&c));
         assert_eq!(h.value(&c), Some(5.0));
+    }
+
+    #[test]
+    fn record_key_matches_record() {
+        let cfgs = [
+            cfg_with_unroll(false, false),
+            cfg_with_unroll(true, false),
+            cfg_with_unroll(false, true),
+            cfg_with_unroll(true, false), // re-recorded with a new value
+        ];
+        let values = [10.0, 30.0, 0.0, 20.0];
+        let (mut by_cfg, mut by_key) = (History::new(), History::new());
+        for (c, &e) in cfgs.iter().zip(&values) {
+            by_cfg.record(c, e);
+            let key = c.encode();
+            by_key.record_key(&ConfigLayout::of(c), &key, hash_key(&key), e);
+        }
+        assert_eq!(by_cfg.len(), by_key.len());
+        assert_eq!(by_cfg.best(), by_key.best());
+        for c in &cfgs {
+            assert_eq!(by_cfg.value(c), by_key.value(c));
+        }
+        let pick =
+            |h: &mut History| h.select_starts_with_energy(8, 2.0, &mut StdRng::seed_from_u64(5));
+        assert_eq!(pick(&mut by_cfg), pick(&mut by_key));
     }
 
     #[test]

@@ -18,10 +18,13 @@ const EMPTY: u32 = u32::MAX;
 /// Slots a table starts with at its first insert.
 const INITIAL_SLOTS: usize = 64;
 
-/// FNV-1a over the key words; stable across platforms. The low bits are
-/// free for a caller to pick a shard with: the probe table seats keys
-/// from bits 7 and up.
-pub(crate) fn hash_key(key: &[i64]) -> u64 {
+/// FNV-1a over the key words; stable across platforms. Every key table
+/// of the crate (the memo cache, the search history) and the evaluation
+/// pool's duplicate check hash keys with this one function, so a caller
+/// that holds a candidate's key hashes it once and hands the hash on. The
+/// low bits are free for a caller to pick a shard with: the probe table
+/// seats keys from bits 7 and up.
+pub fn hash_key(key: &[i64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &w in key {
         h ^= w as u64;

@@ -283,85 +283,6 @@ impl NodeConfig {
         out.push(self.fpga_pipeline);
     }
 
-    /// Appends this config's [`NodeConfig::encode`] words to `out` by
-    /// copying `base_key` — the already-encoded words of `base` — and
-    /// patching only the words where `self` differs from `base`.
-    ///
-    /// The encoding is positional, so a neighbor produced by a single
-    /// schedule move shares all but a handful of words with its base; the
-    /// evaluation pool uses this to derive each neighbor's memo key from
-    /// its base's key (one memcpy plus a sparse diff) instead of
-    /// re-encoding the full config. Deriving the *exact* key — rather than
-    /// hashing a diff — keeps memo-cache identity untouched: the derived
-    /// words are guaranteed equal to what [`NodeConfig::encode_into`]
-    /// would have produced.
-    ///
-    /// Returns `false` without touching `out` when the two configs are
-    /// structurally incompatible (different axis counts or factor
-    /// arities) or `base_key` has the wrong length for `base` — callers
-    /// fall back to [`NodeConfig::encode_into`].
-    pub fn encode_delta_into(
-        &self,
-        base: &NodeConfig,
-        base_key: &[i64],
-        out: &mut Vec<i64>,
-    ) -> bool {
-        if self.spatial_splits.len() != base.spatial_splits.len()
-            || self.reduce_splits.len() != base.reduce_splits.len()
-            || self.reorder.len() != base.reorder.len()
-            || self
-                .spatial_splits
-                .iter()
-                .zip(&base.spatial_splits)
-                .any(|(a, b)| a.len() != b.len())
-            || self
-                .reduce_splits
-                .iter()
-                .zip(&base.reduce_splits)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return false;
-        }
-        let expect = self.spatial_splits.iter().map(Vec::len).sum::<usize>()
-            + self.reduce_splits.iter().map(Vec::len).sum::<usize>()
-            + self.reorder.len()
-            + 7;
-        if base_key.len() != expect {
-            return false;
-        }
-        let start = out.len();
-        out.extend_from_slice(base_key);
-        let dst = &mut out[start..];
-        let mut off = 0usize;
-        for (f, bf) in self.spatial_splits.iter().zip(&base.spatial_splits) {
-            if f != bf {
-                dst[off..off + f.len()].copy_from_slice(f);
-            }
-            off += f.len();
-        }
-        for (f, bf) in self.reduce_splits.iter().zip(&base.reduce_splits) {
-            if f != bf {
-                dst[off..off + f.len()].copy_from_slice(f);
-            }
-            off += f.len();
-        }
-        for (&r, &br) in self.reorder.iter().zip(&base.reorder) {
-            if r != br {
-                dst[off] = r as i64;
-            }
-            off += 1;
-        }
-        // The seven scalar tail words are cheaper to store than to compare.
-        dst[off] = self.fuse_outer as i64;
-        dst[off + 1] = self.unroll as i64;
-        dst[off + 2] = self.vectorize as i64;
-        dst[off + 3] = self.cache_shared as i64;
-        dst[off + 4] = self.inline_data as i64;
-        dst[off + 5] = self.fpga_partition;
-        dst[off + 6] = self.fpga_pipeline;
-        true
-    }
-
     /// Reconstructs a config from [`NodeConfig::encode`] output.
     ///
     /// Decoding is total over arbitrary `&[i64]` input — it never panics
@@ -498,23 +419,6 @@ impl ConfigLayout {
         }
     }
 
-    /// Whether `cfg` has this layout (no allocation).
-    pub fn matches(&self, cfg: &NodeConfig) -> bool {
-        self.reorder == cfg.reorder.len()
-            && self.spatial.len() == cfg.spatial_splits.len()
-            && self.reduce.len() == cfg.reduce_splits.len()
-            && self
-                .spatial
-                .iter()
-                .zip(&cfg.spatial_splits)
-                .all(|(&n, f)| n == f.len())
-            && self
-                .reduce
-                .iter()
-                .zip(&cfg.reduce_splits)
-                .all(|(&n, f)| n == f.len())
-    }
-
     /// Length of an encoding with this layout.
     pub fn words(&self) -> usize {
         self.spatial.iter().sum::<usize>() + self.reduce.iter().sum::<usize>() + self.reorder + 7
@@ -594,12 +498,11 @@ mod tests {
             fpga_pipeline: 0,
         };
         let layout = ConfigLayout::of(&c);
-        assert!(layout.matches(&c));
         assert_eq!(layout.words(), c.encode().len());
         assert_eq!(NodeConfig::from_words(&layout, &c.encode()), c);
         let naive = NodeConfig::naive(&gemm_op());
-        assert!(!layout.matches(&naive));
-        assert!(ConfigLayout::for_op(&gemm_op()).matches(&naive));
+        assert_ne!(layout, ConfigLayout::of(&naive));
+        assert_eq!(ConfigLayout::for_op(&gemm_op()), ConfigLayout::of(&naive));
     }
 
     #[test]
@@ -825,76 +728,6 @@ mod tests {
                 assert!(err.contains("FPGA"), "{err}");
             }
         }
-    }
-
-    #[test]
-    fn encode_delta_matches_full_encode_for_single_moves() {
-        let op = gemm_op();
-        let base = {
-            let mut c = NodeConfig::naive(&op);
-            c.spatial_splits = vec![vec![2, 4, 4, 2], vec![4, 1, 8, 1]];
-            c.reduce_splits = vec![vec![4, 2, 2]];
-            c.cache_shared = true;
-            c
-        };
-        let base_key = base.encode();
-        let mut neighbors = Vec::new();
-        for (axis, split) in [(0usize, vec![4, 2, 4, 2]), (1, vec![8, 1, 4, 1])] {
-            let mut n = base.clone();
-            n.spatial_splits[axis] = split;
-            neighbors.push(n);
-        }
-        let mut n = base.clone();
-        n.reduce_splits[0] = vec![2, 4, 2];
-        neighbors.push(n);
-        let mut n = base.clone();
-        n.reorder = vec![1, 0];
-        neighbors.push(n);
-        for (field, value) in [(0usize, 2i64), (1, 1), (2, 1), (3, 0), (4, 0)] {
-            let mut n = base.clone();
-            match field {
-                0 => n.fuse_outer = value as usize,
-                1 => n.unroll = value != 0,
-                2 => n.vectorize = value != 0,
-                3 => n.cache_shared = value != 0,
-                _ => n.inline_data = value != 0,
-            }
-            neighbors.push(n);
-        }
-        let mut n = base.clone();
-        n.fpga_partition = 8;
-        n.fpga_pipeline = 3;
-        neighbors.push(n);
-        neighbors.push(base.clone()); // the no-move neighbor
-        for (i, n) in neighbors.iter().enumerate() {
-            let mut derived = vec![-7, -7]; // pre-existing words must survive
-            assert!(
-                n.encode_delta_into(&base, &base_key, &mut derived),
-                "neighbor {i} structurally compatible"
-            );
-            assert_eq!(derived[..2], [-7, -7]);
-            assert_eq!(derived[2..], n.encode(), "neighbor {i} key diverged");
-        }
-    }
-
-    #[test]
-    fn encode_delta_rejects_structural_mismatch() {
-        let op = gemm_op();
-        let base = NodeConfig::naive(&op);
-        let base_key = base.encode();
-        let mut out = vec![1, 2, 3];
-        let mut n = base.clone();
-        n.spatial_splits.pop();
-        assert!(!n.encode_delta_into(&base, &base_key, &mut out));
-        let mut n = base.clone();
-        n.reduce_splits[0] = vec![1, 16]; // wrong arity
-        assert!(!n.encode_delta_into(&base, &base_key, &mut out));
-        let mut n = base.clone();
-        n.reorder = vec![0];
-        assert!(!n.encode_delta_into(&base, &base_key, &mut out));
-        // Wrong base-key length (e.g. a stale or foreign key).
-        assert!(!base.encode_delta_into(&base, &base_key[1..], &mut out));
-        assert_eq!(out, vec![1, 2, 3], "rejections must not touch out");
     }
 
     #[test]

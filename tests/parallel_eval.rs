@@ -1,5 +1,6 @@
 //! The parallel, memoized evaluation layer: determinism in the worker
-//! count, cache-key invariants, and statistics plumbing.
+//! count, cache-key invariants, statistics plumbing, and the search's
+//! contract that makes a memo redundant in front of it.
 //!
 //! The central contract under test: `eval_workers` changes *wall-clock
 //! time only*. Every search result — best config, best cost, measurement
@@ -7,14 +8,18 @@
 //! identical whether candidates are evaluated serially or fanned out
 //! over a worker pool.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use flextensor_explore::methods::{search, Method, SearchOptions};
+use flextensor_explore::methods::{search, Method, SearchOptions, SearchResult};
 use flextensor_explore::pool::EvalPool;
 use flextensor_explore::space::{Direction, Space};
+use flextensor_ir::graph::Graph;
 use flextensor_ir::ops;
 use flextensor_sim::model::Evaluator;
-use flextensor_sim::spec::{v100, Device};
+use flextensor_sim::spec::{v100, vu9p, xeon_e5_2699_v4, Device};
+use flextensor_telemetry::{MemorySink, Telemetry, TraceEvent};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -78,7 +83,8 @@ fn auto_worker_count_is_result_identical() {
 }
 
 /// On a space where the exploration budget dwarfs the number of distinct
-/// reachable points, the stats must show the memo layer working: a
+/// reachable points, the stats must show repeats resolved without
+/// evaluation (here duplicate seed draws, answered within their batch): a
 /// positive cache hit rate, and a fresh-evaluation count that equals the
 /// distinct-key count (every point pays for evaluation exactly once).
 #[test]
@@ -131,6 +137,139 @@ fn pool_evaluates_each_distinct_key_once() {
     let distinct: BTreeSet<Vec<i64>> = points.iter().map(|p| p.encode()).collect();
     assert_eq!(pool.stats().evaluated, distinct.len());
     assert_eq!(pool.stats().lookups(), 60);
+}
+
+/// Asserts that a traced search submitted every point in one trial only:
+/// a key evaluated in one trial never comes back in a later one, and a
+/// repeat within a trial is an in-batch duplicate, logged `fresh: false`.
+/// Also checks that every `pool_stats` record counts each evaluated point
+/// as one entry. Returns the number of candidates logged.
+fn assert_each_point_submitted_in_one_trial(events: &[TraceEvent], ctx: &str) -> usize {
+    let mut trial_of: HashMap<&str, usize> = HashMap::new();
+    let mut logged = 0;
+    for e in events {
+        match e {
+            TraceEvent::CandidateEvaluated {
+                trial, key, fresh, ..
+            } => {
+                logged += 1;
+                match trial_of.entry(key.as_str()) {
+                    Entry::Vacant(v) => {
+                        v.insert(*trial);
+                    }
+                    Entry::Occupied(o) => {
+                        assert_eq!(
+                            *o.get(),
+                            *trial,
+                            "{ctx}: {key}, evaluated in trial {}, was submitted again in trial {trial}",
+                            o.get()
+                        );
+                        assert!(
+                            !fresh,
+                            "{ctx}: in-batch repeat {key} in trial {trial} was billed"
+                        );
+                    }
+                }
+            }
+            TraceEvent::PoolStats {
+                evaluated,
+                cache_entries,
+                ..
+            } => assert_eq!(evaluated, cache_entries, "{ctx}"),
+            _ => {}
+        }
+    }
+    logged
+}
+
+/// Runs a search with a memory sink attached; returns its events and result.
+fn traced(
+    g: &Graph,
+    ev: &Evaluator,
+    m: Method,
+    mut o: SearchOptions,
+) -> (Vec<TraceEvent>, SearchResult) {
+    let sink = Arc::new(MemorySink::new());
+    o.telemetry = Telemetry::new(sink.clone());
+    let r = search(g, ev, m, &o).unwrap();
+    (sink.events(), r)
+}
+
+/// The history is the memo: `search()` proposes only points absent from
+/// its history, so its pool never sees a point from an earlier batch and
+/// needs no memo. Checked from traces over every method, on gemm and
+/// conv2d on all three device models, at one and two workers, plus a
+/// warm-started, an analyzer-gated and an early-stopping run. A change
+/// that lets the search resubmit a known point fails here.
+#[test]
+fn search_never_resubmits_a_point_it_already_knows() {
+    let devices = [
+        Device::Gpu(v100()),
+        Device::Cpu(xeon_e5_2699_v4()),
+        Device::Fpga(vu9p()),
+    ];
+    let graphs = [
+        ops::gemm(64, 64, 64),
+        ops::conv2d(ops::ConvParams::same(1, 8, 16, 3), 12, 12),
+    ];
+    for workers in [1, 2] {
+        for dev in &devices {
+            let ev = Evaluator::new(dev.clone());
+            for g in &graphs {
+                for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
+                    let ctx = format!("{m} on {} / {}, {workers} workers", g.name, dev.name());
+                    let (events, r) = traced(g, &ev, m, opts(6, workers));
+                    let logged = assert_each_point_submitted_in_one_trial(&events, &ctx);
+                    let s = r.eval_stats;
+                    assert_eq!(logged, s.lookups(), "{ctx}");
+                    assert_eq!(s.evaluated, r.measurements, "{ctx}");
+                }
+            }
+        }
+
+        let g = ops::gemm(256, 256, 256);
+        let ev = Evaluator::new(Device::Gpu(v100()));
+        let tuned = search(&ops::gemm(128, 128, 128), &ev, Method::PMethod, &opts(6, 1)).unwrap();
+        let full = search(&g, &ev, Method::PMethod, &opts(12, workers)).unwrap();
+        let variants = [
+            (
+                "warm-started",
+                SearchOptions {
+                    warm_start: vec![tuned.best.encode()],
+                    ..opts(8, workers)
+                },
+            ),
+            (
+                "analyzer-gated",
+                SearchOptions {
+                    analyzer_gate: true,
+                    ..opts(8, workers)
+                },
+            ),
+            (
+                "early-stopping",
+                SearchOptions {
+                    stop_when_seconds: Some(full.best_cost.seconds * 1.5),
+                    ..opts(12, workers)
+                },
+            ),
+        ];
+        for (what, o) in variants {
+            for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
+                let ctx = format!("{what} {m}, {workers} workers");
+                let (events, r) = traced(&g, &ev, m, o.clone());
+                assert_each_point_submitted_in_one_trial(&events, &ctx);
+                match what {
+                    "warm-started" => assert_eq!(r.warm_seeds, 1, "{ctx}"),
+                    "analyzer-gated" => assert!(r.eval_stats.pruned > 0, "{ctx}"),
+                    _ if m == Method::PMethod => {
+                        assert!(r.trace.last().unwrap().trial < 12, "{ctx}: no early stop")
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
 }
 
 /// The inverse of each direction, where one exists.

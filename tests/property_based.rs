@@ -232,7 +232,7 @@ proptest! {
         seed in any::<u64>(),
         n_bases in 2usize..5,
     ) {
-        use flextensor_explore::pool::EvalPool;
+        use flextensor_explore::pool::{EvalPool, KeyBatch};
         use flextensor_sim::model::Evaluator;
         use flextensor_sim::spec::{v100, Device};
         use rand::SeedableRng;
@@ -254,11 +254,15 @@ proptest! {
             }
         }
         prop_assert!(!cands.is_empty());
+        let mut keys = KeyBatch::default();
+        for c in &cands {
+            keys.push_config(c);
+        }
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         let mut counters = Vec::new();
         for workers in [1usize, 4] {
             let mut pool = EvalPool::new(&g, &ev, workers, 1 << 16);
-            let out = pool.evaluate_batch_delta(&cands, &base_of, &bases);
+            let out = pool.evaluate_batch_delta(&cands, &keys, &base_of, &bases);
             prop_assert_eq!(&out, &plain, "workers {}", workers);
             let s = pool.stats();
             prop_assert_eq!(s.delta_hits + s.delta_full, s.evaluated);

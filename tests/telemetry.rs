@@ -13,7 +13,10 @@
 //!   reproduces the recorded `run_summary` exactly, for all three
 //!   exploration methods and the AutoTVM baseline;
 //! * the committed fixture trace still replays exactly — the schema is
-//!   stable across writer changes.
+//!   stable across writer changes;
+//! * re-recording the committed search fixtures' runs reproduces them
+//!   byte for byte, modulo wall-clock fields — the search explores the
+//!   same points and logs the same keys and pool counters.
 
 use std::sync::Arc;
 
@@ -272,4 +275,79 @@ fn committed_graph_fixture_replays_and_surfaces_graph_events() {
         spent_last = *spent;
     }
     assert_eq!(spent_last, *budget, "the run spends its whole budget");
+}
+
+/// `line` with every `"wall_s"` value cut out, as CI's
+/// `sed 's/"wall_s":[0-9.eE+-]*//g'` does.
+fn without_wall_s(line: &str) -> String {
+    const FIELD: &str = "\"wall_s\":";
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find(FIELD) {
+        out.push_str(&rest[..at]);
+        rest = rest[at + FIELD.len()..]
+            .trim_start_matches(|c: char| c.is_ascii_digit() || ".eE+-".contains(c));
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Re-records the runs behind the committed search fixtures with the
+/// arguments of `probe_trace --record` (a 256³ GEMM on the V100 model, 6
+/// starts, 12 seed samples, one worker) and requires every line to match
+/// the fixture, ignoring wall-clock values and, for the delta fixture, its
+/// `delta_stats` records, which current runs no longer write. Drift in a
+/// `candidate_evaluated` key or a `pool_stats` counter fails here.
+#[test]
+fn committed_search_fixtures_rerecord_identically() {
+    let g = ops::gemm(256, 256, 256);
+    let ev = Evaluator::new(Device::Gpu(v100()));
+    for (file, method, trials, seed, drop_delta_stats) in [
+        (
+            "trace_delta_gemm256.jsonl",
+            Method::QMethod,
+            40,
+            0xF1E2,
+            true,
+        ),
+        ("trace_q_gemm256.jsonl", Method::QMethod, 8, 2024, false),
+        ("trace_p_gemm256.jsonl", Method::PMethod, 3, 0xF1E2, false),
+        (
+            "trace_walk_gemm256.jsonl",
+            Method::RandomWalk,
+            40,
+            0xF1E2,
+            false,
+        ),
+    ] {
+        let sink = Arc::new(MemorySink::new());
+        let opts = SearchOptions {
+            trials,
+            starts: 6,
+            initial_samples: 12,
+            seed,
+            eval_workers: 1,
+            telemetry: Telemetry::new(sink.clone()),
+            ..SearchOptions::default()
+        };
+        search(&g, &ev, method, &opts).unwrap();
+        let recorded: Vec<String> = sink
+            .events()
+            .iter()
+            .map(|e| without_wall_s(&e.to_jsonl()))
+            .collect();
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/bench/fixtures")
+            .join(file);
+        let committed: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .filter(|l| !(drop_delta_stats && l.contains("\"type\":\"delta_stats\"")))
+            .map(without_wall_s)
+            .collect();
+        for (i, (r, c)) in recorded.iter().zip(&committed).enumerate() {
+            assert_eq!(r, c, "{file}: line {} drifted", i + 1);
+        }
+        assert_eq!(recorded.len(), committed.len(), "{file}: record count");
+    }
 }
